@@ -14,7 +14,6 @@ node budget; at --fast statistics it may legitimately exit nonzero.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -60,10 +59,8 @@ def run(argv=None):
                                        "quadrature.replicates": str(reps),
                                        "quadrature.seed": str(args.seed)})
     records = []
-    inner = spec
     for name in ("cross1", "cross2", "quaternion"):
-        res = integrate_a2(builtin_bracket(name), profile, inner)
-        inner = dataclasses.replace(inner, preflight=False)
+        res = integrate_a2(builtin_bracket(name), profile, spec)
         records.append({
             "bracket": name, "s": 1.0, "a2": res.value, "stderr": res.std_error,
             "n_nodes": res.n_nodes, "seed": args.seed, "config_hash": cfg.config_hash,

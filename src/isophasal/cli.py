@@ -10,7 +10,8 @@ Commands:
     a2          second heat-trace coefficient of the configured metric
     sweep       a2 across the scale list plus the exponent-ladder fit (CSV)
     intertwine  Laplacian intertwining residual for the configured pair
-    validate    oracle self-tests and frame-vs-oracle cross checks
+    validate    oracle self-tests, frame-vs-oracle cross checks and the torus
+                equivariance of the metric
 
 Artifacts are JSON lines (one record per result, sorted keys, no volatile
 fields) plus a CSV for the sweep table, so repeated runs with the same
@@ -181,6 +182,12 @@ def _cmd_validate(cfg: RunConfig) -> int:
     us = rng.uniform(-1.2, 1.2, size=(1000, 2 * b.k)) * profile.u_radius
     G = metric_at(b, profile, xs, us)
     record("metric_unimodular", float(np.max(np.abs(np.linalg.det(G) - 1.0))), 1e-12)
+
+    try:
+        equivariance = heat.preflight_theta_invariance(b, profile)
+    except heat.ThetaDependenceError as exc:
+        equivariance = exc.worst
+    record("theta_equivariance", equivariance, heat.THETA_EQUIVARIANCE_TOL)
 
     xs = rng.uniform(-0.45, 0.45, size=(8, b.m)) * profile.x_radius
     rs = rng.uniform(0.25, 0.5, size=(8, b.k)) * profile.u_radius

@@ -7,8 +7,10 @@ The integral computed is
 over R^(m+2k) with Lebesgue measure (the metric family is unimodular, so the
 Riemannian volume is Lebesgue).  T-invariance lets the angular coordinates be
 integrated out exactly: nodes live in the (x, r) box with weight
-(2 pi)^k * prod_p r_p, and a preflight check certifies the invariance before
-trusting that reduction.  Low-discrepancy sampling with per-replicate
+(2 pi)^k * prod_p r_p.  Before trusting that reduction, a preflight certifies
+that the torus acts by isometries: the metric must satisfy
+G(x, R_theta u) = D_theta G(x, u) D_theta^T to rounding, which makes every
+curvature scalar theta-invariant.  Low-discrepancy sampling with per-replicate
 scrambling gives both fast convergence and an honest replicate-spread error
 estimate.  Node evaluation is embarrassingly parallel; the reduction is a
 fixed-order pairwise sum over node index, so results are bit-identical for
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .brackets import Bracket, check_isospectral
-from .metric import CutoffProfile, polar_to_cartesian
+from .metric import CutoffProfile, plane_rotation
 from . import coord
 from . import frame
 
@@ -43,6 +45,7 @@ __all__ = [
     "SweepResult",
     "ConsistencyReport",
     "ThetaDependenceError",
+    "THETA_EQUIVARIANCE_TOL",
     "DegenerateNodesError",
     "FitIllConditionedError",
     "resolve_workers",
@@ -56,9 +59,26 @@ __all__ = [
 
 SWEEP_DEGREES = (2, 1, 0, -1, -2)
 
+# Worst allowed |G(x, R u) - D G(x, u) D^T| relative to max|G|.  An exact
+# torus-invariant metric deviates only by rounding (about 2e-16).
+THETA_EQUIVARIANCE_TOL = 1e-12
+_PREFLIGHT_POINTS = 256
+_PREFLIGHT_SEED = 2024
+
 
 class ThetaDependenceError(AssertionError):
     """Preflight found angular dependence; the theta reduction would be invalid."""
+
+    def __init__(self, worst: float, tol: float):
+        super().__init__(worst, tol)
+        self.worst = worst
+        self.tol = tol
+
+    def __str__(self) -> str:
+        return (
+            f"metric deviates from torus equivariance by {self.worst:g} "
+            f"(relative to max|G|), tol {self.tol:g}"
+        )
 
 
 class DegenerateNodesError(ValueError):
@@ -81,9 +101,6 @@ class QuadratureSpec:
     engine_chunk: int = 128  # points per curvature-engine batch
     workers: int | None = None  # None -> ISOPHASAL_THREADS or cpu count
     preflight: bool = True
-    preflight_base: int = 8
-    preflight_rotations: int = 32
-    preflight_tol: float = 1e-8
 
     def __post_init__(self):
         if self.method not in ("qmc", "mc", "tensor_gauss"):
@@ -121,10 +138,21 @@ def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
     rng = np.random.default_rng([spec.seed, replicate])
     if spec.method == "qmc":
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # balance warnings for non power-of-two draws
+            # n_nodes need not be a power of two
+            warnings.filterwarnings(
+                "ignore", message="The balance properties of Sobol' points", category=UserWarning
+            )
             sob = qmc.Sobol(d=dim, scramble=True, seed=rng)
             return sob.random(spec.n_nodes)
     return rng.uniform(size=(spec.n_nodes, dim))
+
+
+def _usable_nodes(profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Mask of nodes inside the cutoff support with every plane radius above the frame's floor."""
+    t1 = np.sum(x * x, axis=1)
+    t2 = np.sum(r * r, axis=1)
+    r_min = frame.R_MIN_FACTOR * profile.u_radius
+    return profile.inside_support(t1, t2) & np.all(r > r_min, axis=1)
 
 
 def _eval_contributions(
@@ -137,10 +165,7 @@ def _eval_contributions(
     """Per-node weighted integrand; exact zeros off the cutoff support."""
     k = bracket.k
     n = bracket.m + 2 * k
-    t1 = np.sum(x * x, axis=1)
-    t2 = np.sum(r * r, axis=1)
-    r_min = frame.R_MIN_FACTOR * profile.u_radius
-    keep = profile.inside_support(t1, t2) & np.all(r > r_min, axis=1)
+    keep = _usable_nodes(profile, x, r)
     out = np.zeros(x.shape[0])
     if np.any(keep):
         tau, ric2, riem2 = frame.curvature_scalars(
@@ -179,45 +204,44 @@ def _contributions_parallel(
     return out
 
 
-def preflight_theta_invariance(
-    bracket: Bracket,
-    profile: CutoffProfile,
-    n_base: int = 8,
-    n_rotations: int = 32,
-    tol: float = 1e-8,
-    seed: int = 2024,
-) -> float:
-    """Verify the integrand is invariant under torus rotations of the base points.
+def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
+    """n points uniformly distributed in the open dim-ball of the given radius."""
+    v = rng.normal(size=(n, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return radius * rng.uniform(size=(n, 1)) ** (1.0 / dim) * v
 
-    Evaluates the coordinate-oracle integrand (fully independent of the frame
-    engine and of the theta reduction) at random rotations of interior base
-    points and returns the worst relative spread.  Raises
-    ThetaDependenceError beyond tol: the angular reduction would then be
-    unsound and the quadrature must not proceed.
+
+def preflight_theta_invariance(bracket: Bracket, profile: CutoffProfile) -> float:
+    """Certify that the torus acts by isometries of the metric; return the worst deviation.
+
+    Checks G(x, R_theta u) = D_theta G(x, u) D_theta^T with
+    D_theta = diag(I_m, plane_rotation(theta)) on a fixed-seed batch of points
+    drawn uniformly from the support {|x| < x_radius, |u| < u_radius}, each
+    paired with a random rotation, in one batched call of the Cartesian metric
+    from coord.make_metric_fn.  Isometric torus action makes every curvature
+    scalar theta-invariant, which is what the angular reduction needs; unlike a
+    curvature comparison, the check holds to rounding rather than to a
+    finite-difference floor.  Returns max|G(R p) - D G(p) D^T| / max|G| and
+    raises ThetaDependenceError beyond THETA_EQUIVARIANCE_TOL: the angular
+    reduction would then be unsound and the quadrature must not proceed.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PREFLIGHT_SEED)
+    m, k = bracket.m, bracket.k
+    npts = _PREFLIGHT_POINTS
+    x = _uniform_ball(rng, npts, m, profile.x_radius)
+    u = _uniform_ball(rng, npts, 2 * k, profile.u_radius)
+    R = plane_rotation(rng.uniform(0.0, 2.0 * math.pi, size=(npts, k)))
+    u_rot = np.einsum("nab,nb->na", R, u)
     fn = coord.make_metric_fn(bracket, profile)
-    scheme = coord.default_scheme(profile)
-    rx = 0.7 * profile.x_radius
-    ru = profile.u_radius
-    worst = 0.0
-    for _ in range(n_base):
-        xb = rng.uniform(-rx / math.sqrt(bracket.m), rx / math.sqrt(bracket.m), size=bracket.m)
-        rb = rng.uniform(0.25 * ru, 0.55 * ru, size=bracket.k)
-        th = rng.uniform(0.0, 2.0 * math.pi, size=(n_rotations, bracket.k))
-        pts = np.concatenate(
-            [np.tile(xb, (n_rotations, 1)), polar_to_cartesian(np.tile(rb, (n_rotations, 1)), th)],
-            axis=1,
-        )
-        vals = coord.scalar_invariants_fd(fn, pts, scheme).a2_integrand
-        scale = float(np.max(np.abs(vals)))
-        if scale == 0.0:
-            continue
-        worst = max(worst, float(vals.max() - vals.min()) / scale)
-    if worst > tol:
-        raise ThetaDependenceError(
-            f"integrand varies by {worst:g} (rel) over torus rotations, tol {tol:g}"
-        )
+    G = fn(np.concatenate([np.concatenate([x, u], axis=1), np.concatenate([x, u_rot], axis=1)]))
+    G_base, G_rot = G[:npts], G[npts:]
+    D = np.zeros_like(G_base)
+    D[:, np.arange(m), np.arange(m)] = 1.0
+    D[:, m:, m:] = R
+    transported = D @ G_base @ D.transpose(0, 2, 1)
+    worst = float(np.max(np.abs(G_rot - transported)) / np.max(np.abs(G)))
+    if worst > THETA_EQUIVARIANCE_TOL:
+        raise ThetaDependenceError(worst, THETA_EQUIVARIANCE_TOL)
     return worst
 
 
@@ -238,35 +262,25 @@ def _tensor_gauss_nodes(n_target: int, m: int, k: int, rx: float, rr: float):
 
 def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec) -> QuadratureResult:
     """a2(g) over the support box with the angular factor integrated out exactly."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     m, k = bracket.m, bracket.k
     rx = profile.x_radius
     rr = profile.u_radius
     if spec.preflight:
-        preflight_theta_invariance(
-            bracket, profile, spec.preflight_base, spec.preflight_rotations, spec.preflight_tol
-        )
+        preflight_theta_invariance(bracket, profile)
     workers = resolve_workers(spec.workers)
-
-    r_min = frame.R_MIN_FACTOR * rr
-
-    def inside_frac(x: np.ndarray, r: np.ndarray) -> float:
-        t1 = np.sum(x * x, axis=1)
-        t2 = np.sum(r * r, axis=1)
-        keep = profile.inside_support(t1, t2) & np.all(r > r_min, axis=1)
-        return float(np.mean(keep))
 
     if spec.method == "tensor_gauss":
         x, r, wts = _tensor_gauss_nodes(spec.n_nodes, m, k, rx, rr)
         contrib = _contributions_parallel(bracket, profile, x, r, spec, workers)
-        inside = inside_frac(x, r)
+        inside = float(np.mean(_usable_nodes(profile, x, r)))
         if inside == 0.0:
             raise DegenerateNodesError("no tensor-product nodes hit the integrand support")
         value = float(np.sum(wts * contrib))
         return QuadratureResult(
             value=value, std_error=0.0, n_nodes=x.shape[0], n_replicates=1,
             seed=spec.seed, method=spec.method, inside_fraction=inside,
-            wall_time=time.time() - t_start, replicate_values=(value,),
+            wall_time=time.perf_counter() - t_start, replicate_values=(value,),
         )
 
     vol_box = (2.0 * rx) ** m * rr**k
@@ -277,7 +291,7 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
         x = (2.0 * box[:, :m] - 1.0) * rx
         r = box[:, m:] * rr
         contrib = _contributions_parallel(bracket, profile, x, r, spec, workers)
-        inside_fracs.append(inside_frac(x, r))
+        inside_fracs.append(float(np.mean(_usable_nodes(profile, x, r))))
         rep_values.append(vol_box * float(np.sum(contrib)) / spec.n_nodes)
     if max(inside_fracs) == 0.0:
         raise DegenerateNodesError("no quadrature nodes hit the integrand support")
@@ -292,7 +306,7 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
         seed=spec.seed,
         method=spec.method,
         inside_fraction=float(np.mean(inside_fracs)),
-        wall_time=time.time() - t_start,
+        wall_time=time.perf_counter() - t_start,
         replicate_values=tuple(float(v) for v in rep_values),
     )
 
@@ -376,23 +390,18 @@ def sweep_s(
     """a2(g^s) over the scale list plus the fitted exponent expansion.
 
     The r-box tracks the shrinking support (radius sqrt(r2sq)/s), so the
-    effective node density in the support is scale independent.  The theta
-    preflight runs once on the base profile; the scale only reparametrizes
-    the cutoff's second slot and cannot break torus invariance.
+    effective node density in the support is scale independent.  With
+    spec.preflight set, each scaled profile is certified before it is
+    integrated, since each is a different metric.
     """
     s_arr = [float(s) for s in s_list]
     if len(set(s_arr)) < 5:
         raise ValueError("need at least 5 distinct scale values")
     if max(s_arr) / min(s_arr) < 4.0:
         raise ValueError("scale values should span at least a factor of 4")
-    if spec.preflight:
-        preflight_theta_invariance(
-            bracket, profile, spec.preflight_base, spec.preflight_rotations, spec.preflight_tol
-        )
-    inner = dataclasses.replace(spec, preflight=False)
     vals, errs = [], []
     for s in s_arr:
-        res = integrate_a2(bracket, profile.scaled(s), inner)
+        res = integrate_a2(bracket, profile.scaled(s), spec)
         vals.append(res.value)
         errs.append(res.std_error)
     return fit_sweep(s_arr, vals, errs, bracket.k)
@@ -420,8 +429,7 @@ def isophasal_consistency(
     if not rep.isospectral:
         raise ValueError(f"brackets are not isospectral (max spectral deviation {rep.max_deviation:g})")
     r1 = integrate_a2(b1, profile, spec)
-    inner = dataclasses.replace(spec, preflight=False)
-    r2 = integrate_a2(b2, profile, inner)
+    r2 = integrate_a2(b2, profile, spec)
     diff = r1.value - r2.value
     comb = math.hypot(r1.std_error, r2.std_error)
     within = abs(diff) / comb if comb > 0 else math.inf if diff else 0.0

@@ -132,6 +132,8 @@ def test_cli_validate(tmp_path):
     assert rc == 0
     records = read_jsonl(tmp_path / "out" / "validate.jsonl")
     assert all(r["ok"] for r in records)
+    (theta,) = [r for r in records if r["check"] == "theta_equivariance"]
+    assert theta["value"] <= theta["tol"] <= 1e-12
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -109,31 +109,65 @@ def test_isophasal_consistency_rejects_nonisospectral(cross1, reference_profile)
         isophasal_consistency(cross1, cross1.scaled(2.0), reference_profile, SMALL)
 
 
-def test_preflight_passes(cross1, reference_profile):
-    worst = preflight_theta_invariance(cross1, reference_profile, n_base=2, n_rotations=6)
-    assert worst < 1e-8
+def test_preflight_passes(cross1, cross2, quaternion, reference_profile):
+    assert heat.THETA_EQUIVARIANCE_TOL <= 1e-12
+    for bracket in (cross1, cross2, quaternion):
+        for s in (1.0, 16.0):
+            worst = preflight_theta_invariance(bracket, reference_profile.scaled(s))
+            assert worst < heat.THETA_EQUIVARIANCE_TOL
 
 
-def test_preflight_detects_theta_dependence(cross1, reference_profile, monkeypatch):
+def _break_metric(monkeypatch, defect, when=lambda bracket, profile: True):
+    """Patch coord.make_metric_fn so that metrics selected by `when` lose torus invariance."""
     from isophasal import coord as coord_mod
 
     orig = coord_mod.make_metric_fn
 
     def broken(bracket, profile):
         base = orig(bracket, profile)
+        if not when(bracket, profile):
+            return base
 
         def fn(pts):
             pts = np.atleast_2d(pts)
             G = base(pts)
-            # angular-dependent defect: breaks torus invariance
-            G[:, 0, 0] += 0.05 * pts[:, 6] ** 2
+            defect(G, pts)
             return G
 
         return fn
 
     monkeypatch.setattr(coord_mod, "make_metric_fn", broken)
+
+
+def _diagonal_defect(G, pts):
+    G[:, 0, 0] += 0.05 * pts[:, 6] ** 2
+
+
+def _coupling_defect(G, pts):
+    # small angle-dependent entry of the (x, u) block, kept symmetric
+    G[:, 0, 6] += 1e-6 * pts[:, 7]
+    G[:, 6, 0] += 1e-6 * pts[:, 7]
+
+
+@pytest.mark.parametrize("defect", [_diagonal_defect, _coupling_defect], ids=["diagonal", "coupling"])
+def test_preflight_detects_theta_dependence(cross1, reference_profile, monkeypatch, defect):
+    _break_metric(monkeypatch, defect)
+    with pytest.raises(ThetaDependenceError) as err:
+        preflight_theta_invariance(cross1, reference_profile)
+    assert err.value.worst > err.value.tol
+
+
+def test_consistency_certifies_second_bracket(cross1, cross2, reference_profile, monkeypatch):
+    _break_metric(monkeypatch, _coupling_defect, when=lambda bracket, profile: bracket is cross2)
     with pytest.raises(ThetaDependenceError):
-        preflight_theta_invariance(cross1, reference_profile, n_base=2, n_rotations=6)
+        isophasal_consistency(cross1, cross2, reference_profile, dataclasses.replace(SMALL, preflight=True))
+
+
+def test_sweep_certifies_each_scale(cross1, reference_profile, monkeypatch):
+    _break_metric(monkeypatch, _coupling_defect, when=lambda bracket, profile: profile.s == 16.0)
+    spec = dataclasses.replace(SMALL, n_nodes=2048, preflight=True)
+    with pytest.raises(ThetaDependenceError):
+        sweep_s(cross1, reference_profile, [1.0, 2.0, 4.0, 8.0, 16.0], spec)
 
 
 def test_degenerate_nodes_error(cross1, reference_profile):
