@@ -161,8 +161,8 @@ def _eval_contributions(
     x: np.ndarray,
     r: np.ndarray,
     engine_chunk: int,
-) -> np.ndarray:
-    """Per-node weighted integrand; exact zeros off the cutoff support."""
+) -> tuple[np.ndarray, int]:
+    """Per-node weighted integrand (exact zeros off the cutoff support) and the usable-node count."""
     k = bracket.k
     n = bracket.m + 2 * k
     keep = _usable_nodes(profile, x, r)
@@ -173,12 +173,12 @@ def _eval_contributions(
         )
         dens = frame.a2_constant(n) * (5.0 * tau * tau - 2.0 * ric2 + 2.0 * riem2)
         out[keep] = dens * (2.0 * math.pi) ** k * np.prod(r[keep], axis=1)
-    return out
+    return out, int(np.count_nonzero(keep))
 
 
-def _eval_task(args) -> tuple[int, np.ndarray]:
+def _eval_task(args) -> tuple[int, np.ndarray, int]:
     idx, tensor, profile, x, r, engine_chunk = args
-    return idx, _eval_contributions(Bracket(tensor), profile, x, r, engine_chunk)
+    return (idx, *_eval_contributions(Bracket(tensor), profile, x, r, engine_chunk))
 
 
 def _contributions_parallel(
@@ -188,7 +188,8 @@ def _contributions_parallel(
     r: np.ndarray,
     spec: QuadratureSpec,
     workers: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
+    """Per-node contributions and the usable-node count, over a fork pool for large batches."""
     n = x.shape[0]
     if workers <= 1 or n <= spec.chunk:
         return _eval_contributions(bracket, profile, x, r, spec.engine_chunk)
@@ -197,11 +198,13 @@ def _contributions_parallel(
         for ci, lo in enumerate(range(0, n, spec.chunk))
     ]
     out = np.empty(n)
+    usable = 0
     with get_context("fork").Pool(processes=workers) as pool:
-        for ci, vals in pool.imap_unordered(_eval_task, tasks):
+        for ci, vals, n_usable in pool.imap_unordered(_eval_task, tasks):
             lo = ci * spec.chunk
             out[lo : lo + vals.shape[0]] = vals
-    return out
+            usable += n_usable
+    return out, usable
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -272,8 +275,8 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
 
     if spec.method == "tensor_gauss":
         x, r, wts = _tensor_gauss_nodes(spec.n_nodes, m, k, rx, rr)
-        contrib = _contributions_parallel(bracket, profile, x, r, spec, workers)
-        inside = float(np.mean(_usable_nodes(profile, x, r)))
+        contrib, usable = _contributions_parallel(bracket, profile, x, r, spec, workers)
+        inside = usable / x.shape[0]
         if inside == 0.0:
             raise DegenerateNodesError("no tensor-product nodes hit the integrand support")
         value = float(np.sum(wts * contrib))
@@ -290,8 +293,8 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
         box = _sample_box(spec, rep, m + k)
         x = (2.0 * box[:, :m] - 1.0) * rx
         r = box[:, m:] * rr
-        contrib = _contributions_parallel(bracket, profile, x, r, spec, workers)
-        inside_fracs.append(float(np.mean(_usable_nodes(profile, x, r))))
+        contrib, usable = _contributions_parallel(bracket, profile, x, r, spec, workers)
+        inside_fracs.append(usable / spec.n_nodes)
         rep_values.append(vol_box * float(np.sum(contrib)) / spec.n_nodes)
     if max(inside_fracs) == 0.0:
         raise DegenerateNodesError("no quadrature nodes hit the integrand support")

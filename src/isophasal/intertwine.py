@@ -15,9 +15,12 @@ tail, which mode preservation keeps at rounding level), and composed with the
 per-mode rotations.  A non-isospectral pair must fail this check loudly;
 that negative control is part of the contract.
 
-The Laplacian uses the closed-form inverse metric (the family is unimodular,
-so Delta f = -d_mu(G^{mu nu} d_nu f)); only the first derivatives of G^{-1}
-are taken by finite differences.
+The Laplacian is exact up to rounding: the family is unimodular, so
+Delta f = -d_mu(G^{mu nu} d_nu f), and both the inverse metric and its
+divergence d_mu G^{mu nu} have closed forms; no derivative is taken
+numerically.  Angular modes come from one np.fft.fftn over the angle axes of
+the values on a torus grid, and the transport evaluates every fiber it needs
+in a fixed handful of batched Laplacian calls.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brackets import Bracket, conjugator
-from .coord import FDScheme, first_derivative
-from .metric import CutoffProfile, bump_and_derivs, inverse_metric_at, polar_to_cartesian
+from .brackets import Bracket, ConjugatorReport, conjugator
+from .metric import CutoffProfile, bump_and_derivs, inverse_metric_at, polar_to_cartesian, psi
 
 __all__ = [
     "TestFunction",
@@ -41,19 +43,13 @@ __all__ = [
     "mode_vectors",
     "build_conjugators",
     "apply_Q",
+    "inverse_metric_divergence",
     "laplacian",
     "IntertwineReport",
     "intertwine_residual",
     "default_test_functions",
-    "default_scheme",
     "default_points",
 ]
-
-
-def default_scheme(profile: CutoffProfile) -> FDScheme:
-    # only first derivatives of the closed-form inverse metric are needed;
-    # order-4 differences without Richardson already sit far below the target
-    return FDScheme(h=1e-3 * max(profile.x_radius, profile.u_radius), order=4, richardson=False)
 
 
 def _monomial(x: np.ndarray, powers: Sequence[int]):
@@ -269,9 +265,12 @@ def mode_vectors(N: int, k: int) -> list[tuple[int, ...]]:
 class FourierField:
     """Angular-mode decomposition of a function given as a Cartesian evaluator.
 
-    Coefficients are computed lazily by the uniform trapezoid rule on the
-    torus, which is exact on trigonometric polynomials of degree up to
-    (grid_size - 1) / 2 per angle.
+    Coefficients are trapezoid sums on a uniform torus grid, exact on
+    trigonometric polynomials of degree up to (grid_size - 1) / 2 per angle,
+    all taken at once by one np.fft.fftn over the angle axes: the coefficient
+    of Z is spectrum[Z mod grid_size] / grid_size^k.  Fiber arguments are
+    x (m,) and r (k,), or batches x (P, m) and r (P, k) whose fibers are all
+    evaluated in one call of f; batched calls return one coefficient per fiber.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], N: int, k: int, grid_size: int | None = None):
@@ -287,27 +286,48 @@ class FourierField:
         mesh = np.meshgrid(*([grid_1d] * k), indexing="ij")
         self.sigma = np.stack([g.ravel() for g in mesh], axis=1)  # (G, k)
 
-    def _values_on_fiber(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        G = self.sigma.shape[0]
+    def _values(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """f on the grid of every fiber, shape batch + (grid_size,) * k."""
         x = np.asarray(x, dtype=float)
         r = np.asarray(r, dtype=float)
+        xb = x.reshape(-1, x.shape[-1])
+        rb = r.reshape(-1, r.shape[-1])
+        G = self.sigma.shape[0]
         pts = np.concatenate(
-            [np.tile(x, (G, 1)), polar_to_cartesian(np.tile(r, (G, 1)), self.sigma)], axis=1
+            [
+                np.repeat(xb, G, axis=0),
+                polar_to_cartesian(np.repeat(rb, G, axis=0), np.tile(self.sigma, (xb.shape[0], 1))),
+            ],
+            axis=1,
         )
-        return np.asarray(self.f(pts))
+        return np.asarray(self.f(pts)).reshape(x.shape[:-1] + (self.grid_size,) * self.k)
 
-    def coefficient(self, Z: Sequence[int], x: np.ndarray, r: np.ndarray) -> complex:
-        vals = self._values_on_fiber(x, r)
-        phase = np.exp(-1j * self.sigma @ np.asarray(Z, dtype=float))
-        return complex(np.mean(vals * phase))
+    def _spectrum(self, vals: np.ndarray) -> np.ndarray:
+        axes = tuple(range(vals.ndim - self.k, vals.ndim))
+        return np.fft.fftn(vals, axes=axes) / self.sigma.shape[0]
 
-    def coefficients_all(self, x: np.ndarray, r: np.ndarray) -> dict[tuple[int, ...], complex]:
-        vals = self._values_on_fiber(x, r)
-        out = {}
-        for Z in mode_vectors(self.N, self.k):
-            phase = np.exp(-1j * self.sigma @ np.asarray(Z, dtype=float))
-            out[Z] = complex(np.mean(vals * phase))
-        return out
+    def _index(self, Z) -> tuple:
+        """Spectrum index of a frequency Z (k,), or per-axis index arrays for Z (L, k)."""
+        wrapped = np.asarray(Z, dtype=int) % self.grid_size
+        return tuple(wrapped[..., p] for p in range(self.k))
+
+    def coefficient(self, Z, x: np.ndarray, r: np.ndarray):
+        """f_Z on the fiber(s); for batched fibers Z is (k,) or one frequency per fiber (P, k)."""
+        spec = self._spectrum(self._values(x, r))
+        if spec.ndim == self.k:
+            return complex(spec[self._index(Z)])
+        return spec[(np.arange(spec.shape[0]),) + self._index(Z)]
+
+    def coefficients_all(self, x: np.ndarray, r: np.ndarray) -> dict[tuple[int, ...], complex | np.ndarray]:
+        """Every f_Z with |Z|_inf <= N, in mode_vectors order."""
+        return self._modes(self._spectrum(self._values(x, r)))
+
+    def _modes(self, spec: np.ndarray) -> dict:
+        modes = mode_vectors(self.N, self.k)
+        coefs = spec[(Ellipsis,) + self._index(modes)]  # batch + (len(modes),)
+        if spec.ndim == self.k:
+            return {Z: complex(c) for Z, c in zip(modes, coefs)}
+        return {Z: coefs[:, j] for j, Z in enumerate(modes)}
 
     def reconstruct(self, x: np.ndarray, r: np.ndarray, theta: np.ndarray) -> complex:
         theta = np.asarray(theta, dtype=float)
@@ -316,8 +336,8 @@ class FourierField:
 
     def parseval_gap(self, x: np.ndarray, r: np.ndarray) -> float:
         """|sum |f_Z|^2 - mean |f|^2| on the fiber; zero for band-limited f."""
-        vals = self._values_on_fiber(x, r)
-        coefs = self.coefficients_all(x, r)
+        vals = self._values(x, r)
+        coefs = self._modes(self._spectrum(vals))
         return abs(sum(abs(c) ** 2 for c in coefs.values()) - float(np.mean(np.abs(vals) ** 2)))
 
 
@@ -329,8 +349,8 @@ def fourier_decompose(
 
 def build_conjugators(
     b1: Bracket, b2: Bracket, N: int, tol: float = 1e-10, strict: bool = True
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Orthogonal A_Z for every frequency with |Z|_inf <= N; A_0 is the identity.
+) -> dict[tuple[int, ...], ConjugatorReport]:
+    """Orthogonal A_Z with their residuals for every |Z|_inf <= N; A_0 is the identity.
 
     Orientation: Q carries functions from the second metric's side to the
     first's, so A_Z must conjugate the second j-map onto the first,
@@ -340,13 +360,12 @@ def build_conjugators(
     best-effort orthogonal map is built even when the spectra do not match;
     the negative control relies on the intertwining then failing detectably.
     """
-    out: dict[tuple[int, ...], np.ndarray] = {}
+    out: dict[tuple[int, ...], ConjugatorReport] = {}
     for Z in mode_vectors(N, b1.k):
         if all(z == 0 for z in Z):
-            out[Z] = np.eye(b1.m)
+            out[Z] = ConjugatorReport(A=np.eye(b1.m), residual_conj=0.0, residual_orth=0.0)
         else:
-            rep = conjugator(b2, b1, np.asarray(Z, dtype=float), tol=tol, require_match=strict)
-            out[Z] = rep.A
+            out[Z] = conjugator(b2, b1, np.asarray(Z, dtype=float), tol=tol, require_match=strict)
     return out
 
 
@@ -364,46 +383,51 @@ def apply_Q(b1: Bracket, b2: Bracket, f: TestFunction, tol: float = 1e-10, stric
     return RotatedFunction(base=f, A=A)
 
 
+def inverse_metric_divergence(
+    bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Closed-form d_mu G^{mu nu} of G^-1 = [[I, psi K^T], [psi K, I + psi^2 K K^T]], shape (N, n).
+
+    With L_ip = <[x, e_i], Z_p>, plane p of K is the rows (-L_ip u_{2p+1},
+    L_ip u_{2p}).  Lambda is skew, so sum_i x_i L_ip = 0 and d_{x_i} L_ip = 0;
+    u^T K = 0; and each row of K depends only on the other coordinate of its
+    plane.  Every term of the x block cancels, and on plane p only
+    -psi^2 (sum_i L_ip^2) u_p survives, from the u-derivatives of K K^T.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    m = bracket.m
+    pv = psi(profile, x, u).value
+    L = np.einsum("nj,pji->nip", x, bracket.tensor)
+    weight = pv[:, None] ** 2 * np.einsum("nip,nip->np", L, L)  # (N, k)
+    div = np.zeros((x.shape[0], m + u.shape[1]))
+    div[:, m:] = -np.repeat(weight, 2, axis=1) * u
+    return div
+
+
 def laplacian(
     bracket: Bracket,
     profile: CutoffProfile,
     f,
     pts: np.ndarray,
-    scheme: FDScheme | None = None,
-    derivatives: str = "analytic",
     point_chunk: int = 512,
 ) -> np.ndarray:
     """Positive Laplacian -d_mu(G^{mu nu} d_nu f) at Cartesian points.
 
     The determinant of G is one, so no volume factor appears.  G^{-1} is the
-    closed-form block inverse; its divergence is taken by finite differences.
-    Derivatives of f are analytic from its evaluator, or finite differences of
-    its values with derivatives='fd' (cross-check mode).
+    closed-form block inverse and its divergence the closed form of
+    inverse_metric_divergence; the gradient and Hessian of f come from
+    f.value_grad_hess.
     """
-    if scheme is None:
-        scheme = default_scheme(profile)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m = bracket.m
-    n = m + 2 * bracket.k
-
-    def ginv_fn(q: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        return inverse_metric_at(bracket, profile, q[:, :m], q[:, m:])
-
     out = np.empty(pts.shape[0], dtype=complex)
     for lo in range(0, pts.shape[0], point_chunk):
         p = pts[lo : lo + point_chunk]
-        Gi = ginv_fn(p)
-        dGi = first_derivative(ginv_fn, p, scheme)  # (N, d, a, b)
-        div_Gi = np.einsum("nmmv->nv", dGi)  # sum_mu d_mu G^{mu nu}
-        if derivatives == "analytic":
-            _val, grad, hess = f.value_grad_hess(p)
-        elif derivatives == "fd":
-            grad = first_derivative(lambda q: np.asarray(f(q)), p, scheme)
-            hess = first_derivative(lambda q: first_derivative(lambda w: np.asarray(f(w)), q, scheme), p, scheme)
-            hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-        else:
-            raise ValueError(f"unknown derivatives mode {derivatives!r}")
+        x, u = p[:, :m], p[:, m:]
+        Gi = inverse_metric_at(bracket, profile, x, u)
+        div_Gi = inverse_metric_divergence(bracket, profile, x, u)
+        _val, grad, hess = f.value_grad_hess(p)
         out[lo : lo + p.shape[0]] = -(
             np.einsum("nab,nab->n", Gi, hess) + np.einsum("nv,nv->n", div_Gi, grad)
         )
@@ -412,16 +436,23 @@ def laplacian(
 
 @dataclasses.dataclass(frozen=True)
 class IntertwineReport:
+    """Intertwining residuals, plus the worst conjugator residuals over the band.
+
+    residual_conj is max_Z ||A_Z^T j_2(Z) A_Z - j_1(Z)||_F and residual_orth
+    max_Z ||A_Z^T A_Z - I||_F (ConjugatorReport's residuals).
+    """
+
     max_residual: float
     truncation_tail: float
     n_points: int
     n_functions: int
     band_limit: int
     per_function: tuple[float, ...]
+    residual_conj: float
+    residual_orth: float
 
 
 def _q_transported_laplacian(
-    b1: Bracket,
     b2: Bracket,
     profile: CutoffProfile,
     f: TestFunction,
@@ -429,39 +460,39 @@ def _q_transported_laplacian(
     r_pts: np.ndarray,
     theta_pts: np.ndarray,
     N: int,
-    scheme: FDScheme,
-    conjugators: dict[tuple[int, ...], np.ndarray],
+    conjugators: dict[tuple[int, ...], ConjugatorReport],
     coef_rtol: float = 1e-9,
     tail_samples: int = 3,
 ) -> tuple[np.ndarray, float]:
     """Q(Delta_{g2} f) at polar points, re-decomposing Delta_{g2} f over theta.
 
-    Returns the transported values and the relative truncation tail measured
-    on a widened band at a few sample points.
+    Three batched Laplacian evaluations: every point's fiber, then the rotated
+    fiber (A_Z x, r) of every live mode Z (|coefficient| above coef_rtol of
+    the point's largest), then a band widened by two on the first
+    tail_samples fibers.  Returns the transported values and the relative
+    truncation tail, the coefficient mass beyond N on the widened band.
     """
-    h_eval = lambda q: laplacian(b2, profile, f, q, scheme)
+    h_eval = lambda q: laplacian(b2, profile, f, q)
     field = FourierField(h_eval, N, b2.k)
-    npts = x_pts.shape[0]
-    out = np.zeros(npts, dtype=complex)
-    for i in range(npts):
-        coefs = field.coefficients_all(x_pts[i], r_pts[i])
-        cmax = max(abs(c) for c in coefs.values())
-        floor = coef_rtol * max(cmax, 1e-300)
-        for Z, cval in coefs.items():
-            if abs(cval) <= floor:
-                continue
-            A = conjugators[Z]
-            c_rot = field.coefficient(Z, A @ x_pts[i], r_pts[i])
-            out[i] += c_rot * np.exp(1j * np.dot(Z, theta_pts[i]))
-    # truncation tail: widen the band by two and measure mass beyond N
+    coefs = field.coefficients_all(x_pts, r_pts)
+    modes = list(coefs)
+    C = np.abs(np.stack([coefs[Z] for Z in modes], axis=1))  # (P, modes)
+    floor = coef_rtol * np.maximum(np.max(C, axis=1), 1e-300)
+    live_pt, live_mode = np.nonzero(C > floor[:, None])
+    out = np.zeros(x_pts.shape[0], dtype=complex)
+    if live_pt.size:
+        Zs = np.asarray(modes)[live_mode]  # (L, k)
+        A = np.stack([conjugators[modes[j]].A for j in live_mode])
+        x_rot = np.einsum("lab,lb->la", A, x_pts[live_pt])
+        c_rot = field.coefficient(Zs, x_rot, r_pts[live_pt])
+        phase = np.exp(1j * np.einsum("lp,lp->l", Zs, theta_pts[live_pt]))
+        np.add.at(out, live_pt, c_rot * phase)
     wide = FourierField(h_eval, N + 2, b2.k)
-    tail = 0.0
-    for i in range(min(tail_samples, npts)):
-        coefs = wide.coefficients_all(x_pts[i], r_pts[i])
-        total = sum(abs(c) for c in coefs.values())
-        beyond = sum(abs(c) for Z, c in coefs.items() if max(abs(z) for z in Z) > N)
-        if total > 0:
-            tail = max(tail, beyond / total)
+    n_tail = min(tail_samples, x_pts.shape[0])
+    wide_coefs = wide.coefficients_all(x_pts[:n_tail], r_pts[:n_tail])
+    total = sum(np.abs(c) for c in wide_coefs.values())
+    beyond = sum(np.abs(c) for Z, c in wide_coefs.items() if max(abs(z) for z in Z) > N)
+    tail = max((float(b / t) for b, t in zip(beyond, total) if t > 0), default=0.0)
     return out, tail
 
 
@@ -471,18 +502,15 @@ def intertwine_residual(
     profile: CutoffProfile,
     test_functions: Sequence[TestFunction],
     points: tuple[np.ndarray, np.ndarray, np.ndarray],
-    scheme: FDScheme | None = None,
     N: int | None = None,
     strict: bool = True,
 ) -> IntertwineReport:
     """max over (f, p) of |Delta_{g1}(Qf)(p) - Q(Delta_{g2}f)(p)| / (1 + |Q(Delta_{g2}f)(p)|).
 
     points is a polar triple (x (P,m), r (P,k), theta (P,k)).  For isospectral
-    pairs the residual sits at the finite-difference floor; for inequivalent
-    spectra (strict=False) it must be large.
+    pairs the residual sits at rounding level; for inequivalent spectra
+    (strict=False) it must be large.
     """
-    if scheme is None:
-        scheme = default_scheme(profile)
     x_pts, r_pts, theta_pts = (np.atleast_2d(np.asarray(a, dtype=float)) for a in points)
     cart = np.concatenate([x_pts, polar_to_cartesian(r_pts, theta_pts)], axis=1)
     if N is None:
@@ -497,11 +525,9 @@ def intertwine_residual(
             # undersized theta grid aliases it on the transported side)
             Qf = RotatedFunction(base=dataclasses.replace(f, amplitude=0.0), A=np.eye(b1.m))
         else:
-            Qf = RotatedFunction(base=f, A=conj[tuple(f.freq)])
-        lhs = laplacian(b1, profile, Qf, cart, scheme)
-        rhs, f_tail = _q_transported_laplacian(
-            b1, b2, profile, f, x_pts, r_pts, theta_pts, N, scheme, conj
-        )
+            Qf = RotatedFunction(base=f, A=conj[tuple(f.freq)].A)
+        lhs = laplacian(b1, profile, Qf, cart)
+        rhs, f_tail = _q_transported_laplacian(b2, profile, f, x_pts, r_pts, theta_pts, N, conj)
         res = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
         per_fn.append(res)
         worst = max(worst, res)
@@ -513,6 +539,8 @@ def intertwine_residual(
         n_functions=len(test_functions),
         band_limit=N,
         per_function=tuple(per_fn),
+        residual_conj=max(c.residual_conj for c in conj.values()),
+        residual_orth=max(c.residual_orth for c in conj.values()),
     )
 
 

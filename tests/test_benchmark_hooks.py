@@ -1,0 +1,27 @@
+"""The benchmark's tracer patches library functions by name; a rename must fail here, fast."""
+
+import importlib.util
+import inspect
+import os
+from pathlib import Path
+from unittest import mock
+
+from isophasal import intertwine
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_traced_functions_exist(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # run.py pins thread counts at import
+        spec.loader.exec_module(run)
+    hooks = run.traced_functions()
+    assert hooks
+    for owner, attr, name, _count in hooks:
+        # looked up as the tracer's install() does
+        fn = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        assert callable(fn), f"{name}: {owner.__name__}.{attr} is missing"
+    # the span counts laplacian's points from positional argument 3
+    assert list(inspect.signature(intertwine.laplacian).parameters)[3] == "pts"

@@ -122,9 +122,12 @@ def test_cli_intertwine(tmp_path):
     rc = main(["intertwine", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     (rec,) = read_jsonl(tmp_path / "out" / "intertwine.jsonl")
-    for key in ("pair", "N", "n_points", "max_residual", "truncation_tail"):
+    for key in ("pair", "N", "n_points", "max_residual", "truncation_tail", "residual_conj", "residual_orth"):
         assert key in rec
     assert rec["max_residual"] <= 1e-4
+    # build_conjugators' default tol
+    assert 0.0 < rec["residual_conj"] <= 1e-10
+    assert 0.0 < rec["residual_orth"] <= 1e-10
 
 
 def test_cli_validate(tmp_path):

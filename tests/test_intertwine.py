@@ -94,6 +94,50 @@ def test_fourier_reconstruction_and_parseval(rng):
     assert field.parseval_gap(x0, r0) < 1e-10
 
 
+def smooth_all_modes(q):
+    # not band-limited: every angular mode of the grid carries weight
+    q = np.atleast_2d(q)
+    x, u = q[:, :M], q[:, M:]
+    a = np.array([0.9, -0.7j, 0.6 + 0.3j, 0.8, -0.5, 0.7j])
+    return (1.0 + x[:, 0] - 0.5j * x[:, 2]) * np.exp(u @ a)
+
+
+@pytest.mark.parametrize("N, grid_size", [(2, None), (2, 9), (4, None)])
+def test_fourier_fft_matches_trapezoid_sums(rng, N, grid_size):
+    # the fftn spectrum against direct sums mean(vals * exp(-i Z.sigma)) on the
+    # same grid, over every |Z|_inf <= N (negative frequencies included)
+    field = itw.fourier_decompose(smooth_all_modes, N=N, k=K, grid_size=grid_size)
+    x0 = rng.uniform(-0.3, 0.3, size=M)
+    r0 = rng.uniform(0.8, 1.2, size=K)
+    G = field.sigma.shape[0]
+    fiber = np.concatenate([np.tile(x0, (G, 1)), polar_to_cartesian(np.tile(r0, (G, 1)), field.sigma)], axis=1)
+    vals = smooth_all_modes(fiber)
+    coefs = field.coefficients_all(x0, r0)
+    assert list(coefs) == itw.mode_vectors(N, K)
+    direct = {Z: np.mean(vals * np.exp(-1j * field.sigma @ np.asarray(Z, dtype=float))) for Z in coefs}
+    scale = max(abs(c) for c in direct.values())
+    for Z, c in coefs.items():
+        assert abs(c - direct[Z]) <= 1e-14 * scale
+    for Z in ((-N,) * K, (N, -N, 0), (0, 1, -N)):
+        assert abs(field.coefficient(Z, x0, r0) - direct[Z]) <= 1e-14 * scale
+    assert min(abs(c) for c in direct.values()) > 1e-12 * scale  # every mode carries weight
+
+
+def test_fourier_batched_fibers(rng):
+    # a batch of fibers gives each fiber's coefficients, one frequency per fiber
+    field = itw.fourier_decompose(smooth_all_modes, N=2, k=K)
+    xs = rng.uniform(-0.3, 0.3, size=(4, M))
+    rs = rng.uniform(0.2, 0.5, size=(4, K))
+    Zs = np.array([(0, 0, 0), (-2, 1, 0), (1, -1, 2), (2, 2, -2)])
+    batched = field.coefficients_all(xs, rs)
+    picked = field.coefficient(Zs, xs, rs)
+    for i in range(4):
+        single = field.coefficients_all(xs[i], rs[i])
+        for Z, c in single.items():
+            assert abs(batched[Z][i] - c) <= 1e-15 * max(1.0, abs(c))
+        assert abs(picked[i] - single[tuple(Zs[i])]) <= 1e-15 * max(1.0, abs(picked[i]))
+
+
 # --- Q ---------------------------------------------------------------------------
 
 def test_apply_q_identity_pair(cross1, rng):
@@ -120,7 +164,7 @@ def test_q_linear(cross1, quaternion, rng):
     combined = a * Q1(pts) + b * Q2(pts)
     # same frequency, so the combination is again a single-mode function with
     # the same rotation: apply Q to the sum by linearity of the coefficients
-    A = itw.build_conjugators(cross1, quaternion, 2)[f1.freq]
+    A = itw.build_conjugators(cross1, quaternion, 2)[f1.freq].A
     direct = a * itw.RotatedFunction(f1, A)(pts) + b * itw.RotatedFunction(f2, A)(pts)
     np.testing.assert_allclose(combined, direct, atol=1e-13)
 
@@ -132,7 +176,7 @@ def test_q_unitary_on_fibers(cross1, quaternion, rng):
         itw.TestFunction(m=M, freq=(1, 0, -1), powers=(1,)),
         itw.TestFunction(m=M, freq=(0, 2, 1)),
     ]
-    conj = itw.build_conjugators(cross1, quaternion, 2)
+    conj = {Z: rep.A for Z, rep in itw.build_conjugators(cross1, quaternion, 2).items()}
 
     def f(q):
         return sum(fi(q) for fi in fns)
@@ -159,6 +203,20 @@ def test_q_unitary_on_fibers(cross1, quaternion, rng):
 
 # --- Laplacian --------------------------------------------------------------------
 
+class FDDerivatives:
+    """Evaluator whose gradient and Hessian are finite differences of fn's values."""
+
+    def __init__(self, fn, scheme):
+        self.fn = fn
+        self.scheme = scheme
+
+    def value_grad_hess(self, pts):
+        fn = lambda q: np.asarray(self.fn(q))
+        grad = first_derivative(fn, pts, self.scheme)
+        hess = first_derivative(lambda q: first_derivative(fn, q, self.scheme), pts, self.scheme)
+        return fn(pts), grad, 0.5 * (hess + hess.transpose(0, 2, 1))
+
+
 class Gaussian:
     def value_grad_hess(self, pts):
         pts = np.atleast_2d(pts)
@@ -182,7 +240,7 @@ def test_laplacian_euclidean_gaussian(zero_bracket, reference_profile, rng):
 
 def test_laplacian_flat_polar_phase(cross1, reference_profile, rng):
     # in the flat region, Delta e^{i Z.theta} = (sum_p Z_p^2 / r_p^2) e^{i Z.theta};
-    # checked with the pure finite-difference path (values only)
+    # checked with finite-difference derivatives of the values only
     Z = np.array([2.0, -1.0, 1.0])
     r0 = rng.uniform(0.8, 1.2, size=K)
     th0 = rng.uniform(0, 2 * np.pi, size=K)
@@ -195,8 +253,7 @@ def test_laplacian_flat_polar_phase(cross1, reference_profile, rng):
         return np.exp(1j * th @ Z)
 
     pt = np.concatenate([x0, polar_to_cartesian(r0[None], th0[None])[0]])[None]
-    lap = itw.laplacian(cross1, reference_profile, phase, pt,
-                        scheme=FDScheme(h=1e-4, order=4, richardson=True), derivatives="fd")
+    lap = itw.laplacian(cross1, reference_profile, FDDerivatives(phase, FDScheme(h=1e-4, order=4, richardson=True)), pt)
     want = np.sum(Z**2 / r0**2) * phase(pt)
     np.testing.assert_allclose(lap, want, rtol=1e-5)
 
@@ -204,7 +261,8 @@ def test_laplacian_flat_polar_phase(cross1, reference_profile, rng):
 def test_laplacian_fd_vs_analytic(cross1, reference_profile, rng):
     pts = sample_points(rng, n=3)
     a = itw.laplacian(cross1, reference_profile, TF, pts)
-    f = itw.laplacian(cross1, reference_profile, TF, pts, derivatives="fd")
+    scheme = FDScheme(h=1e-3 * max(reference_profile.x_radius, reference_profile.u_radius), order=4, richardson=False)
+    f = itw.laplacian(cross1, reference_profile, FDDerivatives(TF, scheme), pts)
     np.testing.assert_allclose(a, f, atol=1e-6)
 
 
@@ -217,7 +275,7 @@ def small_points(profile, n=6):
 def test_intertwine_identity_pair(cross1, reference_profile):
     fns = itw.default_test_functions(M, K, reference_profile)[:3]
     rep = itw.intertwine_residual(cross1, cross1, reference_profile, fns, small_points(reference_profile))
-    assert rep.max_residual <= 1e-6
+    assert rep.max_residual <= 1e-12
 
 
 def test_intertwine_isospectral_pairs(cross1, cross2, quaternion, reference_profile):
@@ -225,8 +283,10 @@ def test_intertwine_isospectral_pairs(cross1, cross2, quaternion, reference_prof
     pts = small_points(reference_profile)
     for other in (cross2, quaternion):
         rep = itw.intertwine_residual(cross1, other, reference_profile, fns, pts)
-        assert rep.max_residual <= 1e-4
-        assert rep.truncation_tail <= 1e-10
+        assert rep.max_residual <= 1e-12
+        assert rep.truncation_tail <= 1e-12
+        assert rep.residual_conj <= 1e-10
+        assert rep.residual_orth <= 1e-10
 
 
 def test_intertwine_negative_control(cross1, cross2):
@@ -239,17 +299,30 @@ def test_intertwine_negative_control(cross1, cross2):
     assert rep.max_residual > 1e-1
 
 
-def test_intertwine_converges_to_fd_floor(cross1, quaternion, reference_profile):
-    # truncation-dominated at a coarse step, then an order-4 drop when halved
-    fns = itw.default_test_functions(M, K, reference_profile)[:2]
-    pts = small_points(reference_profile, n=4)
-    res = []
-    for h in (2e-2, 1e-2, 1e-3):
-        scheme = FDScheme(h=h, order=4, richardson=False)
-        rep = itw.intertwine_residual(cross1, quaternion, reference_profile, fns, pts, scheme=scheme)
-        res.append(rep.max_residual)
-    assert res[1] < res[0] / 8.0
-    assert res[2] < 1e-8
+def test_inverse_metric_divergence_matches_fd(cross1, cross2, quaternion, reference_profile):
+    # closed-form d_mu G^{mu nu} against the coordinate oracle's differences of
+    # inverse_metric_at: order-4 convergence from a coarse step, then agreement
+    # far below any intertwining tolerance
+    lam = cross2.tensor.copy()
+    lam[0] *= 4.0
+    control = Bracket(lam)
+    for profile in (reference_profile, CutoffProfile(1.0, 1.0, amplitude=2.5)):
+        x, r, theta = small_points(profile, n=8)
+        pts = np.concatenate([x, polar_to_cartesian(r, theta)], axis=1)
+        for bracket in (cross1, cross2, quaternion, control):
+            div = itw.inverse_metric_divergence(bracket, profile, pts[:, :M], pts[:, M:])
+            assert np.all(div[:, :M] == 0.0)
+            assert np.max(np.abs(div[:, M:])) > 1e-3
+
+            def ginv(q):
+                return itw.inverse_metric_at(bracket, profile, q[:, :M], q[:, M:])
+
+            err = []
+            for h in (2e-2, 1e-2, 1e-3):
+                dGi = first_derivative(ginv, pts, FDScheme(h=h, order=4, richardson=False))
+                err.append(np.max(np.abs(np.einsum("nmmv->nv", dGi) - div)))
+            assert err[1] < err[0] / 8.0
+            assert err[2] < 1e-8
 
 
 def test_intertwine_band_refinement(cross1, quaternion, reference_profile):
@@ -259,5 +332,5 @@ def test_intertwine_band_refinement(cross1, quaternion, reference_profile):
     pts = small_points(reference_profile, n=3)
     rep_narrow = itw.intertwine_residual(cross1, quaternion, reference_profile, [f], pts, N=1)
     rep_full = itw.intertwine_residual(cross1, quaternion, reference_profile, [f], pts, N=2)
-    assert rep_full.max_residual <= 1e-6
+    assert rep_full.max_residual <= 1e-12
     assert rep_narrow.max_residual > 1e3 * rep_full.max_residual
