@@ -125,11 +125,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         "rel_residual": res.rel_residual,
         "leading_coefficient": res.leading_coefficient,
         "leading_sigma": res.leading_sigma,
+        "condition": res.condition,
     })
     _write_jsonl(cfg.out_dir / "sweep.jsonl", [rec])
     print(f"fit over s^{list(res.exponents)}: leading coefficient "
           f"{res.leading_coefficient:.4e} +- {res.leading_sigma:.1e}, "
-          f"rel residual {res.rel_residual:.2e}")
+          f"rel residual {res.rel_residual:.2e}, design condition {res.condition:.1e}")
     sign_ok = res.leading_positive and res.leading_coefficient > 3.0 * res.leading_sigma
     return 0 if sign_ok else 1
 

@@ -16,11 +16,19 @@ structure constants.  The nonzero brackets are
 
 the last being the flat polar-frame term; it is kept so that the zero-bracket
 metric comes out exactly flat.  Christoffel symbols follow from the Koszul
-formula, their frame derivatives are assembled from the stored second partials
-of a (no finite differences anywhere in this module), and the curvature tensor
-from the standard frame formula.  Everything is batched over points, chunked
-to bound memory, and sits inside the quadrature inner loop of the heat
-invariant pipeline.
+formula, and the curvature tensor from the standard frame formula with the
+frame derivatives of Gamma taken from the stored second partials of a (no
+finite differences anywhere in this module).  Everything is batched over
+points, chunked to bound memory, and sits inside the quadrature inner loop of
+the heat invariant pipeline.
+
+What is materialised: c, its derivatives dc (only the that rows are nonzero)
+and Gamma, densely; the curvature only in the antisymmetric pair form
+R[(a<b), (g<d)] = Riem[a,b,g,d], P x P with P = n (n - 1) / 2, built straight
+from c and dc by curvature(); and Ric.  curvature_scalars, a2_integrand and
+frame_bundle all run that one contraction.  Only frame_bundle, meant for
+inspection and tests, also builds the dense frame derivatives dGamma and
+expands R into the dense Riem.
 
 Index layout: 0..m-1 xhat, m..m+k-1 rhat, m+k..m+2k-1 that.  Tensors are
 stored as c[n, gamma, alpha, beta] (gamma-component of [E_alpha, E_beta]),
@@ -31,10 +39,12 @@ E_alpha along E_beta), and Riem[n, alpha, beta, gamma, delta].
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .brackets import Bracket
 from .metric import CutoffProfile
@@ -43,16 +53,18 @@ __all__ = [
     "R_MIN_FACTOR",
     "DegeneratePointError",
     "AllZeroSamplesError",
-    "FrameIndexSets",
     "CouplingCoeffs",
     "FrameCurvature",
     "coupling_coeffs",
     "structure_constants",
     "christoffels",
     "christoffel_derivs",
+    "CurvatureTables",
+    "curvature_tables",
     "curvature",
     "curvature_scalars",
     "a2_constant",
+    "a2_density",
     "a2_integrand",
     "frame_bundle",
     "frame_derivative",
@@ -70,28 +82,6 @@ class DegeneratePointError(ValueError):
 
 class AllZeroSamplesError(ValueError):
     """Degree probe got only (numerically) zero samples."""
-
-
-@dataclasses.dataclass(frozen=True)
-class FrameIndexSets:
-    m: int
-    k: int
-
-    @property
-    def n(self) -> int:
-        return self.m + 2 * self.k
-
-    @property
-    def I1(self) -> range:
-        return range(0, self.m)
-
-    @property
-    def I2(self) -> range:
-        return range(self.m, self.m + self.k)
-
-    @property
-    def I3(self) -> range:
-        return range(self.m + self.k, self.m + 2 * self.k)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,39 +224,127 @@ def christoffel_derivs(dc: np.ndarray) -> np.ndarray:
     return out
 
 
+_PAIR_BLOCK = 8  # points per block of curvature(): keeps the n^4 quadratic product in cache
+
+
+@dataclasses.dataclass(frozen=True)
+class CurvatureTables:
+    """Fixed index maps of the pair-form curvature contraction for one (m, k).
+
+    Pairs (a < b) are numbered in row-major order, P = n (n - 1) / 2 of them,
+    and R[p, q] is stored flat at p * P + q.
+    """
+
+    pairs: np.ndarray       # (P,) flat index a * n + b of each pair
+    quad_plus: np.ndarray   # (P, P) flat [a, g, b, d] index into the quadratic product
+    quad_minus: np.ndarray  # (P, P) flat [a, d, b, g] index into the quadratic product
+    deriv: sparse.csr_array  # (P^2, k n n (m+k)) map from the that rows of dc to the E Gamma terms
+    ric_src: np.ndarray     # (n, n, n) flat pair-form index of Riem[a, g, b, g]
+    ric_sign: np.ndarray    # (n, n, n) its sign; zero where g = a or g = b
+    dense_src: np.ndarray   # (n, n, n, n) flat pair-form index of Riem[a, b, g, d]
+    dense_sign: np.ndarray  # (n, n, n, n) its sign; zero where a = b or g = d
+
+
+@functools.lru_cache(maxsize=None)
+def curvature_tables(m: int, k: int) -> CurvatureTables:
+    """Index maps of curvature() for frame dimensions (m, k), built once on first use.
+
+    Build them before forking worker processes so that the workers inherit
+    them instead of each rebuilding its own.
+    """
+    n = m + 2 * k
+    mk = m + k
+    npair = n * (n - 1) // 2
+    pa, pb = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[pa, pb] = pair[pb, pa] = np.arange(npair)
+    idx = np.arange(n)
+    sign = np.sign(idx[None, :] - idx[:, None]).astype(float)  # +1 for a < b, -1 for a > b
+    a, b = pa[:, None], pb[:, None]  # row pair
+    g, d = pa[None, :], pb[None, :]  # column pair
+    # E_g Gamma[a,b,d] - E_d Gamma[a,b,g] with Gamma[a,b,d] = (c[a,d,b] + c[d,a,b] + c[b,a,d]) / 2;
+    # dc vanishes outside its that rows (first index >= m+k) and has m+k derivative directions
+    out = np.arange(npair * npair).reshape(npair, npair)
+    src, coef, dst = [], [], []
+    for s, e, (i, j, l) in (
+        (0.5, g, (a, d, b)), (0.5, g, (d, a, b)), (0.5, g, (b, a, d)),
+        (-0.5, d, (a, g, b)), (-0.5, d, (g, a, b)), (-0.5, d, (b, a, g)),
+    ):
+        i, j, l, e = np.broadcast_arrays(i, j, l, e)
+        live = (i >= mk) & (e < mk)
+        src.append((((i[live] - mk) * n + j[live]) * n + l[live]) * mk + e[live])
+        coef.append(np.full(src[-1].shape, s))
+        dst.append(out[live])
+    deriv = sparse.csr_array(
+        (np.concatenate(coef), (np.concatenate(dst), np.concatenate(src))),
+        shape=(npair * npair, k * n * n * mk),
+    )  # duplicate entries are summed on conversion
+    deriv.eliminate_zeros()
+    A, B, G = np.ix_(idx, idx, idx)
+    A4, B4, G4, D4 = np.ix_(idx, idx, idx, idx)
+    tables = CurvatureTables(
+        pairs=pa * n + pb,
+        quad_plus=((a * n + g) * n + b) * n + d,
+        quad_minus=((a * n + d) * n + b) * n + g,
+        deriv=deriv,
+        ric_src=pair[A, G] * npair + pair[B, G],
+        ric_sign=sign[A, G] * sign[B, G],
+        dense_src=pair[A4, B4] * npair + pair[G4, D4],
+        dense_sign=sign[A4, B4] * sign[G4, D4],
+    )
+    for field in dataclasses.fields(tables):  # every caller shares the cached arrays
+        value = getattr(tables, field.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return tables
+
+
 def curvature(
-    Gamma: np.ndarray, dGamma: np.ndarray, c: np.ndarray
+    Gamma: np.ndarray, c: np.ndarray, dc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Riemann, Ricci and scalar curvature from frame data at a batch of points.
+    """Pair-form Riemann tensor, Ricci and scalar curvature at a batch of points.
 
     Riem[a,b,g,d] = sum_mu (Gamma[a,mu,g] Gamma[mu,b,d] - Gamma[a,mu,d] Gamma[mu,b,g]
                             - c[mu,g,d] Gamma[a,b,mu])
                     + E_g(Gamma[a,b,d]) - E_d(Gamma[a,b,g])
     with Ric[a,b] = sum_g Riem[a,g,b,g] and tau the trace of Ric.
 
-    The quadratic terms run as batched matmuls, which is what keeps the engine
-    usable inside a 1e5-node quadrature loop.
+    Returns R (N, P, P) with R[p, q] = Riem[a,b,g,d] over the pairs
+    p = (a < b), q = (g < d), P = n (n - 1) / 2, so that |Riem|^2 = 4 sum R^2;
+    Ric (N, n, n); tau (N,).  Built block by block from c and dc: the quadratic
+    terms are one batched matmul whose n^4 product (per block, in cache) is
+    read by two fixed gathers; the c Gamma term is a rank-k product, since c
+    vanishes outside its k that rows; the frame-derivative terms are one fixed
+    sparse map from the that rows of dc.  Neither the dense dGamma nor the
+    dense n^4 Riem is materialised.
     """
     npts, n = Gamma.shape[0], Gamma.shape[1]
-    mk = dGamma.shape[-1]
-    # T1[a,c,b,d] = sum_mu Gamma[a,mu,c] Gamma[mu,b,d] as (n^2 x n) @ (n x n^2)
+    mk = dc.shape[-1]
+    k = n - mk
+    t = curvature_tables(mk - k, k)
+    npair = t.pairs.size
+    # Gamma[a,mu,g] Gamma[mu,b,d] laid out [a,g,b,d]: (n^2 x n) @ (n x n^2)
     left = np.ascontiguousarray(Gamma.transpose(0, 1, 3, 2)).reshape(npts, n * n, n)
     right = Gamma.reshape(npts, n, n * n)
-    T1 = np.matmul(left, right).reshape(npts, n, n, n, n)  # [a, c, b, d]
-    T1 = T1.transpose(0, 1, 3, 2, 4)  # [a, b, c, d] (view)
-    Riem = np.ascontiguousarray(T1)
-    Riem -= T1.transpose(0, 1, 2, 4, 3)
-    del T1, left, right
-    # T3[a,b,c,d] = sum_mu Gamma[a,b,mu] c[mu,c,d]
-    T3 = np.matmul(Gamma.reshape(npts, n * n, n), c.reshape(npts, n, n * n))
-    Riem -= T3.reshape(npts, n, n, n, n)
-    del T3
-    # + E_g(Gamma[a,b,d]): nonzero only for g < m+k; - E_d(Gamma[a,b,g]): d < m+k
-    Riem[:, :, :, :mk, :] += dGamma.transpose(0, 1, 2, 4, 3)
-    Riem[:, :, :, :, :mk] -= dGamma
-    Ric = np.einsum("nagbg->nab", Riem)
-    tau = np.einsum("ngg->n", Ric)
-    return Riem, Ric, tau
+    # Gamma[a,b,mu] and c[mu,g,d] over the pairs and the that rows mu
+    gam_ab = Gamma.reshape(npts, n * n, n)[:, t.pairs, mk:]
+    c_gd = c.reshape(npts, n, n * n)[:, mk:, t.pairs]
+    dc_that = dc[:, mk:].reshape(npts, -1)
+    R = np.empty((npts, npair, npair))
+    R_flat = R.reshape(npts, -1)
+    quad = np.empty((_PAIR_BLOCK, n * n, n * n))
+    tmp = np.empty((_PAIR_BLOCK, npair, npair))
+    for lo in range(0, npts, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, npts)
+        nb = hi - lo
+        q = np.matmul(left[lo:hi], right[lo:hi], out=quad[:nb]).reshape(nb, -1)
+        Rb = np.take(q, t.quad_plus, axis=1, out=R[lo:hi])
+        Rb -= np.take(q, t.quad_minus, axis=1, out=tmp[:nb])
+        Rb -= np.matmul(gam_ab[lo:hi], c_gd[lo:hi], out=tmp[:nb])
+        R_flat[lo:hi] += (t.deriv @ np.ascontiguousarray(dc_that[lo:hi].T)).T
+    Ric = np.einsum("nabg,abg->nab", np.take(R_flat, t.ric_src, axis=1), t.ric_sign)
+    tau = np.einsum("naa->n", Ric)
+    return R, Ric, tau
 
 
 @dataclasses.dataclass(frozen=True)
@@ -289,6 +367,16 @@ def a2_constant(n: int) -> float:
     return (4.0 * math.pi) ** (-n / 2.0) / 360.0
 
 
+def a2_density(n: int, tau: np.ndarray, ric_sq: np.ndarray, riem_sq: np.ndarray) -> np.ndarray:
+    """(4 pi)^(-n/2)/360 * (5 tau^2 - 2 |Ric|^2 + 2 |Riem|^2), the a2 integrand in dimension n."""
+    return a2_constant(n) * (5.0 * tau * tau - 2.0 * ric_sq + 2.0 * riem_sq)
+
+
+def _square_norms(R: np.ndarray, Ric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|Ric|^2 and |Riem|^2 = 4 sum R^2 (each pair-form entry stands for four Riem entries)."""
+    return np.einsum("nab,nab->n", Ric, Ric), 4.0 * np.einsum("npq,npq->n", R, R)
+
+
 def curvature_scalars(
     bracket: Bracket,
     profile: CutoffProfile,
@@ -308,12 +396,8 @@ def curvature_scalars(
         hi = min(lo + chunk, npts)
         cc = coupling_coeffs(bracket, profile, x[lo:hi], r[lo:hi])
         c, dc = structure_constants(cc, r[lo:hi])
-        Gamma = christoffels(c)
-        dGamma = christoffel_derivs(dc)
-        Riem, Ric, t = curvature(Gamma, dGamma, c)
-        tau[lo:hi] = t
-        ric2[lo:hi] = np.einsum("nab,nab->n", Ric, Ric)
-        riem2[lo:hi] = np.einsum("nabcd,nabcd->n", Riem, Riem)
+        R, Ric, tau[lo:hi] = curvature(christoffels(c), c, dc)
+        ric2[lo:hi], riem2[lo:hi] = _square_norms(R, Ric)
     return tau, ric2, riem2
 
 
@@ -324,7 +408,7 @@ def a2_integrand(
     r: np.ndarray,
     chunk: int = 256,
 ) -> np.ndarray:
-    """(4 pi)^(-n/2)/360 * (5 tau^2 - 2 |Ric|^2 + 2 |Riem|^2) pointwise.
+    """The a2 density (see a2_density) pointwise.
 
     Points outside the cutoff support contribute an exact zero and skip the
     engine entirely; the curvature is supported where phi is.
@@ -338,28 +422,31 @@ def a2_integrand(
     out = np.zeros(x.shape[0])
     if np.any(inside):
         tau, ric2, riem2 = curvature_scalars(bracket, profile, x[inside], r[inside], chunk=chunk)
-        n = bracket.m + 2 * bracket.k
-        out[inside] = a2_constant(n) * (5.0 * tau * tau - 2.0 * ric2 + 2.0 * riem2)
+        out[inside] = a2_density(bracket.m + 2 * bracket.k, tau, ric2, riem2)
     return out
 
 
 def frame_bundle(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> FrameCurvature:
-    """Full tensor bundle at a (small) batch of points, for inspection and tests."""
+    """Full tensor bundle at a (small) batch of points, for inspection and tests.
+
+    Runs the same contraction as curvature_scalars and expands its pair form
+    into the dense Riem; dGamma is computed here only, for inspection.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     _check_radii(profile, r)
+    m, k = bracket.m, bracket.k
+    n = m + 2 * k
     cc = coupling_coeffs(bracket, profile, x, r)
     c, dc = structure_constants(cc, r)
     Gamma = christoffels(c)
-    dGamma = christoffel_derivs(dc)
-    Riem, Ric, tau = curvature(Gamma, dGamma, c)
-    ric2 = np.einsum("nab,nab->n", Ric, Ric)
-    riem2 = np.einsum("nabcd,nabcd->n", Riem, Riem)
-    n = bracket.m + 2 * bracket.k
-    integ = a2_constant(n) * (5.0 * tau * tau - 2.0 * ric2 + 2.0 * riem2)
+    R, Ric, tau = curvature(Gamma, c, dc)
+    ric2, riem2 = _square_norms(R, Ric)
+    t = curvature_tables(m, k)
+    Riem = np.take(R.reshape(R.shape[0], -1), t.dense_src, axis=1) * t.dense_sign
     return FrameCurvature(
-        c=c, Gamma=Gamma, dGamma=dGamma, Riem=Riem, Ric=Ric,
-        tau=tau, ric_sq=ric2, riem_sq=riem2, a2_integrand=integ,
+        c=c, Gamma=Gamma, dGamma=christoffel_derivs(dc), Riem=Riem, Ric=Ric,
+        tau=tau, ric_sq=ric2, riem_sq=riem2, a2_integrand=a2_density(n, tau, ric2, riem2),
     )
 
 

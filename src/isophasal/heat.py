@@ -23,13 +23,14 @@ must come out positive for this metric family with k <= 3.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
 import time
 import warnings
 from multiprocessing import get_context
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.stats import qmc
@@ -38,6 +39,9 @@ from .brackets import Bracket, check_isospectral
 from .metric import CutoffProfile, plane_rotation
 from . import coord
 from . import frame
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 __all__ = [
     "QuadratureSpec",
@@ -164,14 +168,13 @@ def _eval_contributions(
 ) -> tuple[np.ndarray, int]:
     """Per-node weighted integrand (exact zeros off the cutoff support) and the usable-node count."""
     k = bracket.k
-    n = bracket.m + 2 * k
     keep = _usable_nodes(profile, x, r)
     out = np.zeros(x.shape[0])
     if np.any(keep):
         tau, ric2, riem2 = frame.curvature_scalars(
             bracket, profile, x[keep], r[keep], chunk=engine_chunk
         )
-        dens = frame.a2_constant(n) * (5.0 * tau * tau - 2.0 * ric2 + 2.0 * riem2)
+        dens = frame.a2_density(bracket.m + 2 * k, tau, ric2, riem2)
         out[keep] = dens * (2.0 * math.pi) ** k * np.prod(r[keep], axis=1)
     return out, int(np.count_nonzero(keep))
 
@@ -181,17 +184,32 @@ def _eval_task(args) -> tuple[int, np.ndarray, int]:
     return (idx, *_eval_contributions(Bracket(tensor), profile, x, r, engine_chunk))
 
 
+@contextlib.contextmanager
+def _node_pool(bracket: Bracket, spec: QuadratureSpec, n_nodes: int, workers: int):
+    """One fork pool for every batch of an integrate_a2 call, or None when batches run in process."""
+    if workers <= 1 or n_nodes <= spec.chunk:
+        yield None
+        return
+    frame.curvature_tables(bracket.m, bracket.k)  # built once here, inherited by the workers
+    with get_context("fork").Pool(processes=workers) as pool:
+        yield pool
+
+
 def _contributions_parallel(
     bracket: Bracket,
     profile: CutoffProfile,
     x: np.ndarray,
     r: np.ndarray,
     spec: QuadratureSpec,
-    workers: int,
+    pool: Pool | None,
 ) -> tuple[np.ndarray, int]:
-    """Per-node contributions and the usable-node count, over a fork pool for large batches."""
+    """Per-node contributions and the usable-node count, over the pool when there is one.
+
+    Tasks are fixed slices of spec.chunk nodes and each result lands at its
+    slice, so the output does not depend on the number of workers.
+    """
     n = x.shape[0]
-    if workers <= 1 or n <= spec.chunk:
+    if pool is None:
         return _eval_contributions(bracket, profile, x, r, spec.engine_chunk)
     tasks = [
         (ci, np.asarray(bracket.tensor), profile, x[lo : lo + spec.chunk], r[lo : lo + spec.chunk], spec.engine_chunk)
@@ -199,11 +217,10 @@ def _contributions_parallel(
     ]
     out = np.empty(n)
     usable = 0
-    with get_context("fork").Pool(processes=workers) as pool:
-        for ci, vals, n_usable in pool.imap_unordered(_eval_task, tasks):
-            lo = ci * spec.chunk
-            out[lo : lo + vals.shape[0]] = vals
-            usable += n_usable
+    for ci, vals, n_usable in pool.imap_unordered(_eval_task, tasks):
+        lo = ci * spec.chunk
+        out[lo : lo + vals.shape[0]] = vals
+        usable += n_usable
     return out, usable
 
 
@@ -275,7 +292,8 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
 
     if spec.method == "tensor_gauss":
         x, r, wts = _tensor_gauss_nodes(spec.n_nodes, m, k, rx, rr)
-        contrib, usable = _contributions_parallel(bracket, profile, x, r, spec, workers)
+        with _node_pool(bracket, spec, x.shape[0], workers) as pool:
+            contrib, usable = _contributions_parallel(bracket, profile, x, r, spec, pool)
         inside = usable / x.shape[0]
         if inside == 0.0:
             raise DegenerateNodesError("no tensor-product nodes hit the integrand support")
@@ -289,13 +307,14 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     vol_box = (2.0 * rx) ** m * rr**k
     rep_values = []
     inside_fracs = []
-    for rep in range(spec.n_replicates):
-        box = _sample_box(spec, rep, m + k)
-        x = (2.0 * box[:, :m] - 1.0) * rx
-        r = box[:, m:] * rr
-        contrib, usable = _contributions_parallel(bracket, profile, x, r, spec, workers)
-        inside_fracs.append(usable / spec.n_nodes)
-        rep_values.append(vol_box * float(np.sum(contrib)) / spec.n_nodes)
+    with _node_pool(bracket, spec, spec.n_nodes, workers) as pool:
+        for rep in range(spec.n_replicates):
+            box = _sample_box(spec, rep, m + k)
+            x = (2.0 * box[:, :m] - 1.0) * rx
+            r = box[:, m:] * rr
+            contrib, usable = _contributions_parallel(bracket, profile, x, r, spec, pool)
+            inside_fracs.append(usable / spec.n_nodes)
+            rep_values.append(vol_box * float(np.sum(contrib)) / spec.n_nodes)
     if max(inside_fracs) == 0.0:
         raise DegenerateNodesError("no quadrature nodes hit the integrand support")
     rep_values = np.asarray(rep_values)
@@ -330,6 +349,7 @@ class SweepResult:
     rel_residual: float
     leading_coefficient: float
     leading_sigma: float
+    condition: float  # 2-norm condition number of the column-normalized weighted design
 
     @property
     def leading_positive(self) -> bool:
@@ -347,7 +367,9 @@ def fit_sweep(
 
     Columns are normalized before solving; the coefficient covariance
     (X^T W X)^{-1} supplies the uncertainty of the leading coefficient even
-    when the system is exactly determined.
+    when the system is exactly determined.  The condition number of the
+    normalized weighted design is returned with the fit; above 1e12 the fit
+    raises FitIllConditionedError instead.
     """
     s = np.asarray(s_values, dtype=float)
     y = np.asarray(a2_values, dtype=float)
@@ -381,6 +403,7 @@ def fit_sweep(
         rel_residual=rel_residual,
         leading_coefficient=float(coef[0]),
         leading_sigma=float(sigmas[0]),
+        condition=float(cond),
     )
 
 

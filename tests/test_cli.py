@@ -114,6 +114,8 @@ def test_cli_sweep_outputs(tmp_path):
     assert len(csv_lines) == 6
     (fit,) = read_jsonl(tmp_path / "out" / "sweep.jsonl")
     assert fit["exponents"][0] == -4
+    # fit_sweep refuses designs above 1e12
+    assert 1.0 <= fit["condition"] <= 1e12
 
 
 def test_cli_intertwine(tmp_path):

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 import sympy
 
-from isophasal.brackets import builtin_bracket
+from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.coord import FDScheme, default_scheme, make_metric_fn, scalar_invariants_fd
 from isophasal.metric import CutoffProfile, polar_to_cartesian
 from isophasal import frame
-from conftest import frame_christoffel_oracle, frame_riemann_oracle, frame_vectors_cartesian
+from conftest import (
+    dense_scalars_reference,
+    frame_christoffel_oracle,
+    frame_riemann_oracle,
+    frame_vectors_cartesian,
+)
 
 M, K = 6, 3
 MK = M + K
@@ -177,6 +182,66 @@ def test_curvature_symmetries(cross1, reference_profile, rng):
     assert np.max(np.abs(R - R.transpose(0, 3, 4, 1, 2))) <= 1e-9 * scale
     bianchi = R + R.transpose(0, 1, 3, 4, 2) + R.transpose(0, 1, 4, 2, 3)
     assert np.max(np.abs(bianchi)) <= 1e-9 * scale
+
+
+def _negative_control():
+    """The spectrally mismatched bracket of acceptance criterion 8: cross2 with Z_1 scaled by 4."""
+    lam = builtin_bracket("cross2").tensor.copy()
+    lam[0] *= 4.0
+    return Bracket(lam)
+
+
+PAIR_FORM_BRACKETS = {
+    "cross1": lambda: builtin_bracket("cross1"),
+    "cross2": lambda: builtin_bracket("cross2"),
+    "quaternion": lambda: builtin_bracket("quaternion"),
+    "control": _negative_control,
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 16.0])
+@pytest.mark.parametrize("name", list(PAIR_FORM_BRACKETS))
+def test_pair_form_scalars_match_dense_reference(name, scale, reference_profile):
+    bracket = PAIR_FORM_BRACKETS[name]()
+    profile = reference_profile.scaled(scale)
+    rng = np.random.default_rng(11)
+    x, r = interior_points(rng, 20)
+    r = r / scale  # the r-support shrinks with the scale
+    ref = dense_scalars_reference(bracket, profile, x, r)
+    for chunk in (1, 7, 128):
+        got = frame.curvature_scalars(bracket, profile, x, r, chunk=chunk)
+        for label, g, want in zip(("tau", "|Ric|^2", "|Riem|^2"), got, ref):
+            rel = np.max(np.abs(g - want)) / np.max(np.abs(want))
+            assert rel <= 1e-13, (label, chunk, rel)
+
+
+@pytest.mark.parametrize("scale", [1.0, 16.0])
+def test_zero_bracket_pair_form_flat(zero_bracket, reference_profile, scale):
+    rng = np.random.default_rng(5)
+    profile = reference_profile.scaled(scale)
+    x = rng.uniform(-0.8, 0.8, size=(50, M))
+    r = rng.uniform(0.05, 0.7, size=(50, K)) / scale
+    cc = frame.coupling_coeffs(zero_bracket, profile, x, r)
+    c, dc = frame.structure_constants(cc, r)
+    R, Ric, tau = frame.curvature(frame.christoffels(c), c, dc)
+    rounding = 1e-14 * np.max(np.abs(c)) ** 2  # curvature scales like c^2 (polar terms 1/r)
+    assert np.max(np.abs(R)) <= rounding
+    assert np.max(np.abs(Ric)) <= rounding
+    tau, ric2, riem2 = frame.curvature_scalars(zero_bracket, profile, x, r, chunk=7)
+    assert np.max(np.abs(tau)) <= rounding
+    assert np.max(ric2) <= rounding**2 and np.max(riem2) <= rounding**2
+
+
+@pytest.mark.parametrize("name", list(PAIR_FORM_BRACKETS))
+def test_riemann_symmetries_at_rounding(name, reference_profile, rng):
+    x, r = interior_points(rng)
+    R = frame.frame_bundle(PAIR_FORM_BRACKETS[name](), reference_profile, x, r).Riem
+    scale = np.max(np.abs(R))
+    assert np.max(np.abs(R + R.transpose(0, 2, 1, 3, 4))) <= 1e-12 * scale
+    assert np.max(np.abs(R + R.transpose(0, 1, 2, 4, 3))) <= 1e-12 * scale
+    assert np.max(np.abs(R - R.transpose(0, 3, 4, 1, 2))) <= 1e-12 * scale
+    bianchi = R + R.transpose(0, 1, 3, 4, 2) + R.transpose(0, 1, 4, 2, 3)
+    assert np.max(np.abs(bianchi)) <= 1e-12 * scale
 
 
 def test_riemann_matches_transported_oracle(cross1, reference_profile):
