@@ -50,8 +50,10 @@ class Bracket:
 
     def __init__(self, tensor: np.ndarray):
         tensor = np.asarray(tensor, dtype=float)
-        if tensor.ndim != 3 or tensor.shape[1] != tensor.shape[2]:
-            raise ValueError(f"bracket tensor must have shape (k, m, m), got {tensor.shape}")
+        if tensor.ndim != 3 or tensor.shape[1] != tensor.shape[2] or tensor.size == 0:
+            raise ValueError(f"bracket tensor must have shape (k, m, m) with k, m >= 1, got {tensor.shape}")
+        if not np.all(np.isfinite(tensor)):
+            raise ValueError("bracket tensor has non-finite entries")
         asym = np.max(np.abs(tensor + tensor.transpose(0, 2, 1)))
         scale = max(1.0, np.max(np.abs(tensor)))
         if asym > 1e-12 * scale:
@@ -384,23 +386,36 @@ def bracket_to_text(bracket: Bracket) -> str:
 
 
 def bracket_from_text(text: str) -> Bracket:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Parse the bracket_to_text format; every malformed line is rejected by number."""
+    lines = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(no, ln) for no, ln in lines if ln]
     if not lines:
         raise ValueError("empty bracket file")
+    no, header = lines[0]
     try:
-        m, k = (int(tok) for tok in lines[0].split())
+        m, k = (int(tok) for tok in header.split())
     except ValueError as exc:
-        raise ValueError(f"bad header line {lines[0]!r}: expected 'm k'") from exc
+        raise ValueError(f"bad header line {no} {header!r}: expected 'm k'") from exc
+    if m < 1 or k < 1:
+        raise ValueError(f"bad header line {no} {header!r}: m and k must be positive")
     lam = np.zeros((k, m, m))
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 4:
-            raise ValueError(f"bad entry line {ln!r}: expected 'p i j value'")
-        p, i, j = int(toks[0]) - 1, int(toks[1]) - 1, int(toks[2]) - 1
-        v = float(toks[3])
+    seen: dict[tuple[int, int, int], int] = {}
+    for no, ln in lines[1:]:
+        try:
+            p_, i_, j_, v_ = ln.split()
+            p, i, j, v = int(p_) - 1, int(i_) - 1, int(j_) - 1, float(v_)
+        except ValueError as exc:
+            raise ValueError(f"bad entry line {no} {ln!r}: expected 'p i j value'") from exc
         if not (0 <= p < k and 0 <= i < m and 0 <= j < m):
-            raise ValueError(f"index out of range in line {ln!r}")
+            raise ValueError(f"index out of range in line {no} {ln!r}")
+        if i == j:
+            raise ValueError(f"diagonal entry in line {no} {ln!r}: a skew bracket has [e_i, e_i] = 0")
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite value in line {no} {ln!r}")
+        key = (p, min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"line {no} {ln!r} repeats the entry of line {seen[key]}")
+        seen[key] = no
         lam[p, i, j] = v
         lam[p, j, i] = -v
     return Bracket(lam)

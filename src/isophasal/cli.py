@@ -17,7 +17,9 @@ Artifacts are JSON lines (one record per result, sorted keys, no volatile
 fields) plus a CSV for the sweep table, so repeated runs with the same
 config and seed are byte-identical.  Every record embeds the config hash and
 seed.  Exit status: 0 on success, 1 when an asserted tolerance fails, 2 on
-configuration errors.  ISOPHASAL_THREADS caps worker parallelism.
+configuration errors.  ISOPHASAL_THREADS caps worker parallelism; it must
+be a positive integer (anything else exits with status 2), and counts above
+the available cores are cut to them.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides=overrides)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, heat.WorkerCountError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

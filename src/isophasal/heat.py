@@ -52,6 +52,7 @@ __all__ = [
     "THETA_EQUIVARIANCE_TOL",
     "DegenerateNodesError",
     "FitIllConditionedError",
+    "WorkerCountError",
     "resolve_workers",
     "preflight_theta_invariance",
     "integrate_a2",
@@ -68,6 +69,7 @@ SWEEP_DEGREES = (2, 1, 0, -1, -2)
 THETA_EQUIVARIANCE_TOL = 1e-12
 _PREFLIGHT_POINTS = 256
 _PREFLIGHT_SEED = 2024
+_ENGINE_CHUNK = 128  # points per curvature-engine batch
 
 
 class ThetaDependenceError(AssertionError):
@@ -93,6 +95,10 @@ class FitIllConditionedError(ValueError):
     """The scale-sweep design matrix is numerically rank deficient."""
 
 
+class WorkerCountError(ValueError):
+    """ISOPHASAL_THREADS is set to something other than a positive integer."""
+
+
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
     """How to integrate: method in {'qmc', 'mc', 'tensor_gauss'}, nodes, replicates, seed."""
@@ -102,8 +108,7 @@ class QuadratureSpec:
     seed: int = 0
     method: str = "qmc"
     chunk: int = 4096       # nodes handed to one worker task (fixed: determinism)
-    engine_chunk: int = 128  # points per curvature-engine batch
-    workers: int | None = None  # None -> ISOPHASAL_THREADS or cpu count
+    workers: int | None = None  # None -> ISOPHASAL_THREADS or the available cores
     preflight: bool = True
 
     def __post_init__(self):
@@ -129,12 +134,28 @@ class QuadratureResult:
 
 
 def resolve_workers(requested: int | None) -> int:
+    """Worker processes: requested, else ISOPHASAL_THREADS, else the available cores.
+
+    ISOPHASAL_THREADS must be a positive integer (an empty value counts as
+    unset); it and the default are capped at the cores this process may run
+    on.  Results do not depend on the count, so the cap changes no output.
+    """
     if requested is not None:
         return max(1, int(requested))
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     env = os.environ.get("ISOPHASAL_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return cores
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise WorkerCountError(f"ISOPHASAL_THREADS must be a positive integer, got {env!r}")
+    return min(n, cores)
 
 
 def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
@@ -164,7 +185,6 @@ def _eval_contributions(
     profile: CutoffProfile,
     x: np.ndarray,
     r: np.ndarray,
-    engine_chunk: int,
 ) -> tuple[np.ndarray, int]:
     """Per-node weighted integrand (exact zeros off the cutoff support) and the usable-node count."""
     k = bracket.k
@@ -172,7 +192,7 @@ def _eval_contributions(
     out = np.zeros(x.shape[0])
     if np.any(keep):
         tau, ric2, riem2 = frame.curvature_scalars(
-            bracket, profile, x[keep], r[keep], chunk=engine_chunk
+            bracket, profile, x[keep], r[keep], chunk=_ENGINE_CHUNK
         )
         dens = frame.a2_density(bracket.m + 2 * k, tau, ric2, riem2)
         out[keep] = dens * (2.0 * math.pi) ** k * np.prod(r[keep], axis=1)
@@ -180,8 +200,8 @@ def _eval_contributions(
 
 
 def _eval_task(args) -> tuple[int, np.ndarray, int]:
-    idx, tensor, profile, x, r, engine_chunk = args
-    return (idx, *_eval_contributions(Bracket(tensor), profile, x, r, engine_chunk))
+    idx, tensor, profile, x, r = args
+    return (idx, *_eval_contributions(Bracket(tensor), profile, x, r))
 
 
 @contextlib.contextmanager
@@ -210,9 +230,9 @@ def _contributions_parallel(
     """
     n = x.shape[0]
     if pool is None:
-        return _eval_contributions(bracket, profile, x, r, spec.engine_chunk)
+        return _eval_contributions(bracket, profile, x, r)
     tasks = [
-        (ci, np.asarray(bracket.tensor), profile, x[lo : lo + spec.chunk], r[lo : lo + spec.chunk], spec.engine_chunk)
+        (ci, np.asarray(bracket.tensor), profile, x[lo : lo + spec.chunk], r[lo : lo + spec.chunk])
         for ci, lo in enumerate(range(0, n, spec.chunk))
     ]
     out = np.empty(n)
@@ -286,9 +306,9 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     m, k = bracket.m, bracket.k
     rx = profile.x_radius
     rr = profile.u_radius
+    workers = resolve_workers(spec.workers)
     if spec.preflight:
         preflight_theta_invariance(bracket, profile)
-    workers = resolve_workers(spec.workers)
 
     if spec.method == "tensor_gauss":
         x, r, wts = _tensor_gauss_nodes(spec.n_nodes, m, k, rx, rr)

@@ -5,19 +5,24 @@ f = sum_Z f_Z(x, r) e^(i Z.theta), and a T-invariant metric's Laplacian
 preserves each mode.  The intertwining operator acts per mode by composing the
 coefficient with the orthogonal conjugator of the frequency vector,
 
-    (Q f)_Z(x, r) = f_Z(A_Z x, r),      A_Z^T j_1(Z) A_Z = j_2(Z),
+    (Q f)_Z(x, r) = f_Z(A_Z x, r),      A_Z^T j_2(Z) A_Z = j_1(Z),
 
 with A_0 the identity (the two torus-quotient metrics are both Euclidean).
-The check performed here is Delta_{g1}(Q f) = Q(Delta_{g2} f) pointwise for a
-basket of band-limited test functions: Delta_{g2} f is evaluated numerically,
+build_conjugators computes every A_Z of the band once, and apply_Q is the one
+map from a single-mode function to its image under Q.  The check performed
+here is Delta_{g1}(Q f) = Q(Delta_{g2} f) pointwise for a basket of
+band-limited test functions: Delta_{g2} f is evaluated numerically,
 re-decomposed over theta with the same band limit (reporting the truncation
 tail, which mode preservation keeps at rounding level), and composed with the
 per-mode rotations.  A non-isospectral pair must fail this check loudly;
 that negative control is part of the contract.
 
-The Laplacian is exact up to rounding: the family is unimodular, so
-Delta f = -d_mu(G^{mu nu} d_nu f), and both the inverse metric and its
-divergence d_mu G^{mu nu} have closed forms; no derivative is taken
+Each test function is a product of four factors (a bump and a monomial in x,
+a bump and a monomial in the complex plane coordinates of u), and its value,
+gradient and Hessian come from one product rule applied to the factors'
+closed forms.  The Laplacian is exact up to rounding: the family is
+unimodular, so Delta f = -d_mu(G^{mu nu} d_nu f), and both the inverse metric
+and its divergence d_mu G^{mu nu} have closed forms; no derivative is taken
 numerically.  Angular modes come from one np.fft.fftn over the angle axes of
 the values on a torus grid, and the transport evaluates every fiber it needs
 in a fixed handful of batched Laplacian calls.
@@ -39,7 +44,6 @@ __all__ = [
     "TestFunction",
     "RotatedFunction",
     "FourierField",
-    "fourier_decompose",
     "mode_vectors",
     "build_conjugators",
     "apply_Q",
@@ -51,96 +55,68 @@ __all__ = [
     "default_points",
 ]
 
-
-def _monomial(x: np.ndarray, powers: Sequence[int]):
-    """Value, gradient, Hessian of prod_i x_i^e_i, batched over x (N, m)."""
-    npts, m = x.shape
-    val = np.ones(npts)
-    for i, e in enumerate(powers):
-        if e:
-            val = val * x[:, i] ** e
-    grad = np.zeros((npts, m))
-    hess = np.zeros((npts, m, m))
-    for i, e in enumerate(powers):
-        if not e:
-            continue
-        gi = e * x[:, i] ** (e - 1)
-        for j, ej in enumerate(powers):
-            if j != i and ej:
-                gi = gi * x[:, j] ** ej
-        grad[:, i] = gi
-        if e >= 2:
-            hii = e * (e - 1) * x[:, i] ** (e - 2)
-            for j, ej in enumerate(powers):
-                if j != i and ej:
-                    hii = hii * x[:, j] ** ej
-            hess[:, i, i] = hii
-        for j in range(i + 1, m):
-            ej = powers[j]
-            if not ej:
-                continue
-            hij = e * x[:, i] ** (e - 1) * ej * x[:, j] ** (ej - 1)
-            for l, el in enumerate(powers):
-                if l not in (i, j) and el:
-                    hij = hij * x[:, l] ** el
-            hess[:, i, j] = hij
-            hess[:, j, i] = hij
-    return val, grad, hess
+_POINT_CHUNK = 512  # Laplacian points per batch
 
 
-def _windings(u: np.ndarray, freq: Sequence[int]):
-    """Value, gradient, Hessian of prod_p (u_{2p} + i sgn(Z_p) u_{2p+1})^{|Z_p|}.
+def _monomial(z: np.ndarray, powers: Sequence[int]):
+    """Value, gradient, Hessian of prod_i z_i^e_i, batched over real or complex z (N, m).
 
-    These are the polynomial realizations of e^(i Z.theta) r^{|Z|}: smooth on
-    all of R^2k and carrying exactly the angular frequency Z.
+    Only the coordinates with e_i > 0 enter, and every factor is read from
+    their table of powers z_i^0 .. z_i^e_max.  A derivative lowers the
+    exponents to e - d_a (first) or e - d_a - d_b (second); a negative one
+    only comes with a zero coefficient and is clipped to zero.
     """
-    npts = u.shape[0]
-    k = len(freq)
-    w = np.empty((npts, k), dtype=complex)
-    dw1 = np.empty((npts, k), dtype=complex)   # d/du_{2p}
-    dw2 = np.empty((npts, k), dtype=complex)   # d/du_{2p+1}
-    d2 = np.empty((npts, k), dtype=complex)    # z-second-derivative factor n(n-1) z^(n-2)
-    sgn = np.empty(k)
-    for p, zp in enumerate(freq):
-        n_p = abs(int(zp))
-        s = 1.0 if zp >= 0 else -1.0
-        sgn[p] = s
-        z = u[:, 2 * p] + 1j * s * u[:, 2 * p + 1]
-        w[:, p] = z**n_p if n_p else 1.0
-        zm1 = z ** (n_p - 1) if n_p >= 1 else np.zeros(npts, dtype=complex)
-        zm2 = z ** (n_p - 2) if n_p >= 2 else np.zeros(npts, dtype=complex)
-        dw1[:, p] = n_p * zm1
-        dw2[:, p] = 1j * s * n_p * zm1
-        d2[:, p] = n_p * (n_p - 1) * zm2
-    # leave-one-out and leave-two-out products (k is small)
-    val = np.prod(w, axis=1)
-    rest = np.empty((npts, k), dtype=complex)
-    for p in range(k):
-        rp = np.ones(npts, dtype=complex)
-        for q in range(k):
-            if q != p:
-                rp = rp * w[:, q]
-        rest[:, p] = rp
-    grad = np.zeros((npts, 2 * k), dtype=complex)
-    grad[:, 0::2] = dw1 * rest
-    grad[:, 1::2] = dw2 * rest
-    hess = np.zeros((npts, 2 * k, 2 * k), dtype=complex)
-    for p in range(k):
-        # same-plane second derivatives: d2 * (1, i s; i s, -1) structure
-        hess[:, 2 * p, 2 * p] = d2[:, p] * rest[:, p]
-        hess[:, 2 * p, 2 * p + 1] = 1j * sgn[p] * d2[:, p] * rest[:, p]
-        hess[:, 2 * p + 1, 2 * p] = hess[:, 2 * p, 2 * p + 1]
-        hess[:, 2 * p + 1, 2 * p + 1] = -d2[:, p] * rest[:, p]
-        for q in range(p + 1, k):
-            rpq = np.ones(npts, dtype=complex)
-            for l in range(k):
-                if l not in (p, q):
-                    rpq = rpq * w[:, l]
-            for (a, da) in ((2 * p, dw1[:, p]), (2 * p + 1, dw2[:, p])):
-                for (b, db) in ((2 * q, dw1[:, q]), (2 * q + 1, dw2[:, q])):
-                    hess[:, a, b] = da * db * rpq
-                    hess[:, b, a] = hess[:, a, b]
-    return val, grad, hess
+    npts, m = z.shape
+    live = np.flatnonzero(np.asarray(powers) > 0)
+    grad = np.zeros((npts, m), dtype=z.dtype)
+    hess = np.zeros((npts, m, m), dtype=z.dtype)
+    if live.size == 0:
+        return np.ones(npts, dtype=z.dtype), grad, hess
+    e = np.asarray(powers)[live]
+    d = np.eye(live.size, dtype=int)
+    j = np.arange(live.size)
+    table = z[:, live, None] ** np.arange(e.max() + 1)  # (N, L, e_max + 1)
+    grad[:, live] = e * np.prod(table[:, j, e - d], axis=2)
+    second = np.prod(table[:, j, np.maximum(e - d[:, None] - d, 0)], axis=3)
+    hess[:, live[:, None], live] = e[:, None] * (e - d) * second
+    return np.prod(table[:, j, e], axis=1), grad, hess
+
+
+def _envelope(y: np.ndarray, rsq: float | None):
+    """Value, gradient, Hessian of the bump b(|y|^2 / rsq); the constant one when rsq is None."""
+    npts, d = y.shape
+    if rsq is None:
+        return np.ones(npts), np.zeros((npts, d)), np.zeros((npts, d, d))
+    b, bp, bpp = bump_and_derivs(np.sum(y * y, axis=1) / rsq)
+    grad = (2.0 * bp / rsq)[:, None] * y
+    hess = (4.0 * bpp / rsq**2)[:, None, None] * y[:, :, None] * y[:, None, :]
+    hess[:, np.arange(d), np.arange(d)] += (2.0 * bp / rsq)[:, None]
+    return b, grad, hess
+
+
+def _product(f, g, separate: bool = False):
+    """Product rule on (value, gradient, Hessian) triples.
+
+    f and g are functions of the same coordinates or, with separate=True, of
+    two disjoint blocks: f of the leading coordinates and g of the rest.
+    """
+    fv, fg, fh = f
+    gv, gg, gh = g
+    outer = fg[:, :, None] * gg[:, None, :]
+    if separate:
+        a = fg.shape[1]
+        grad = np.concatenate([fg * gv[:, None], fv[:, None] * gg], axis=1)
+        hess = np.empty(grad.shape + grad.shape[1:], dtype=grad.dtype)
+        hess[:, :a, :a] = fh * gv[:, None, None]
+        hess[:, a:, a:] = fv[:, None, None] * gh
+        hess[:, :a, a:] = outer
+        hess[:, a:, :a] = outer.transpose(0, 2, 1)
+    else:
+        grad = fg * gv[:, None] + fv[:, None] * gg
+        hess = fh * gv[:, None, None] + fv[:, None, None] * gh
+        hess += outer
+        hess += outer.transpose(0, 2, 1)
+    return fv * gv, grad, hess
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,58 +148,19 @@ class TestFunction:
 
     def value_grad_hess(self, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        npts = pts.shape[0]
         m, k = self.m, self.k
         x, u = pts[:, :m], pts[:, m:]
-        powers = tuple(self.powers) + (0,) * (m - len(self.powers))
-
-        P, Pg, Ph = _monomial(x, powers)
-        if self.x_bump_rsq is None:
-            B1 = np.ones(npts)
-            B1t = np.zeros(npts)
-            B1tt = np.zeros(npts)
-        else:
-            b, bp, bpp = bump_and_derivs(np.sum(x * x, axis=1) / self.x_bump_rsq)
-            B1, B1t, B1tt = b, bp / self.x_bump_rsq, bpp / self.x_bump_rsq**2
-        F1 = B1 * P
-        F1g = 2.0 * B1t[:, None] * x * P[:, None] + B1[:, None] * Pg
-        F1h = (
-            (2.0 * B1t[:, None, None]) * np.eye(m) * P[:, None, None]
-            + 4.0 * B1tt[:, None, None] * x[:, :, None] * x[:, None, :] * P[:, None, None]
-            + 2.0 * B1t[:, None, None] * (x[:, :, None] * Pg[:, None, :] + x[:, None, :] * Pg[:, :, None])
-            + B1[:, None, None] * Ph
-        )
-
-        W, Wg, Wh = _windings(u, self.freq)
-        if self.u_bump_rsq is None:
-            B2 = np.ones(npts)
-            B2t = np.zeros(npts)
-            B2tt = np.zeros(npts)
-        else:
-            b, bp, bpp = bump_and_derivs(np.sum(u * u, axis=1) / self.u_bump_rsq)
-            B2, B2t, B2tt = b, bp / self.u_bump_rsq, bpp / self.u_bump_rsq**2
-        F2 = B2 * W
-        F2g = 2.0 * B2t[:, None] * u * W[:, None] + B2[:, None] * Wg
-        F2h = (
-            (2.0 * B2t[:, None, None]) * np.eye(2 * k) * W[:, None, None]
-            + 4.0 * B2tt[:, None, None] * u[:, :, None] * u[:, None, :] * W[:, None, None]
-            + 2.0 * B2t[:, None, None] * (u[:, :, None] * Wg[:, None, :] + u[:, None, :] * Wg[:, :, None])
-            + B2[:, None, None] * Wh
-        )
-
-        amp = self.amplitude
-        val = amp * F1 * F2
-        n = m + 2 * k
-        grad = np.empty((npts, n), dtype=complex)
-        grad[:, :m] = amp * F1g * F2[:, None]
-        grad[:, m:] = amp * F1[:, None] * F2g
-        hess = np.empty((npts, n, n), dtype=complex)
-        hess[:, :m, :m] = amp * F1h * F2[:, None, None]
-        hess[:, m:, m:] = amp * F1[:, None, None] * F2h
-        cross = amp * F1g[:, :, None] * F2g[:, None, :]
-        hess[:, :m, m:] = cross
-        hess[:, m:, :m] = cross.transpose(0, 2, 1)
-        return val, grad, hess
+        fx = _product(_envelope(x, self.x_bump_rsq), _monomial(x, self.powers))
+        # The winding factor prod_p z_p^{|Z_p|}, z_p = u_{2p} + i sgn(Z_p) u_{2p+1},
+        # realizes e^(i Z.theta) r^{|Z|} as a polynomial: smooth on all of R^2k
+        # and carrying exactly the frequency Z.  J = dz/du is constant.
+        J = np.zeros((k, 2 * k), dtype=complex)
+        J[np.arange(k), 2 * np.arange(k)] = 1.0
+        J[np.arange(k), 2 * np.arange(k) + 1] = np.where(np.asarray(self.freq) >= 0, 1j, -1j)
+        wv, wg, wh = _monomial(u @ J.T, [abs(z) for z in self.freq])
+        fu = _product(_envelope(u, self.u_bump_rsq), (wv, wg @ J, J.T @ wh @ J))
+        fx = tuple(self.amplitude * a for a in fx)
+        return _product(fx, fu, separate=True)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.value_grad_hess(pts)[0]
@@ -236,22 +173,12 @@ class RotatedFunction:
     base: TestFunction
     A: np.ndarray
 
-    @property
-    def freq(self) -> tuple[int, ...]:
-        return self.base.freq
-
     def value_grad_hess(self, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        m = self.base.m
-        q = pts.copy()
-        q[:, :m] = pts[:, :m] @ self.A.T
-        val, grad, hess = self.base.value_grad_hess(q)
-        grad = grad.copy()
-        grad[:, :m] = grad[:, :m] @ self.A
-        hess = hess.copy()
-        hess[:, :m, :] = np.einsum("ab,nbc->nac", self.A.T, hess[:, :m, :])
-        hess[:, :, :m] = np.einsum("nab,bc->nac", hess[:, :, :m], self.A)
-        return val, grad, hess
+        R = np.eye(pts.shape[1])  # diag(A, I)
+        R[: self.base.m, : self.base.m] = self.A
+        val, grad, hess = self.base.value_grad_hess(pts @ R.T)
+        return val, grad @ R, R.T @ hess @ R
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.value_grad_hess(pts)[0]
@@ -320,31 +247,12 @@ class FourierField:
 
     def coefficients_all(self, x: np.ndarray, r: np.ndarray) -> dict[tuple[int, ...], complex | np.ndarray]:
         """Every f_Z with |Z|_inf <= N, in mode_vectors order."""
-        return self._modes(self._spectrum(self._values(x, r)))
-
-    def _modes(self, spec: np.ndarray) -> dict:
+        spec = self._spectrum(self._values(x, r))
         modes = mode_vectors(self.N, self.k)
         coefs = spec[(Ellipsis,) + self._index(modes)]  # batch + (len(modes),)
         if spec.ndim == self.k:
             return {Z: complex(c) for Z, c in zip(modes, coefs)}
         return {Z: coefs[:, j] for j, Z in enumerate(modes)}
-
-    def reconstruct(self, x: np.ndarray, r: np.ndarray, theta: np.ndarray) -> complex:
-        theta = np.asarray(theta, dtype=float)
-        coefs = self.coefficients_all(x, r)
-        return complex(sum(c * np.exp(1j * np.dot(Z, theta)) for Z, c in coefs.items()))
-
-    def parseval_gap(self, x: np.ndarray, r: np.ndarray) -> float:
-        """|sum |f_Z|^2 - mean |f|^2| on the fiber; zero for band-limited f."""
-        vals = self._values(x, r)
-        coefs = self._modes(self._spectrum(vals))
-        return abs(sum(abs(c) ** 2 for c in coefs.values()) - float(np.mean(np.abs(vals) ** 2)))
-
-
-def fourier_decompose(
-    f: Callable[[np.ndarray], np.ndarray], N: int, k: int, grid_size: int | None = None
-) -> FourierField:
-    return FourierField(f, N, k, grid_size)
 
 
 def build_conjugators(
@@ -369,18 +277,17 @@ def build_conjugators(
     return out
 
 
-def apply_Q(b1: Bracket, b2: Bracket, f: TestFunction, tol: float = 1e-10, strict: bool = True):
-    """Q applied to a single-mode test function: composition with A_Z on the x block.
+def apply_Q(conjugators: dict[tuple[int, ...], ConjugatorReport], f: TestFunction) -> RotatedFunction:
+    """Q applied to a single-mode test function: f composed with A_Z on the x block, Z = f.freq.
 
-    The result lives on the first metric's side:
-    Delta_{g1}(Q f) = Q(Delta_{g2} f).
+    conjugators is build_conjugators(b1, b2, N); the result lives on the first
+    metric's side, Delta_{g1}(Q f) = Q(Delta_{g2} f).  A mode beyond the band N
+    has no conjugator, and the truncated Q maps it to zero.
     """
-    Z = f.freq
-    if all(z == 0 for z in Z):
-        A = np.eye(b1.m)
-    else:
-        A = conjugator(b2, b1, np.asarray(Z, dtype=float), tol=tol, require_match=strict).A
-    return RotatedFunction(base=f, A=A)
+    rep = conjugators.get(tuple(f.freq))
+    if rep is None:
+        return RotatedFunction(base=dataclasses.replace(f, amplitude=0.0), A=np.eye(f.m))
+    return RotatedFunction(base=f, A=rep.A)
 
 
 def inverse_metric_divergence(
@@ -410,7 +317,6 @@ def laplacian(
     profile: CutoffProfile,
     f,
     pts: np.ndarray,
-    point_chunk: int = 512,
 ) -> np.ndarray:
     """Positive Laplacian -d_mu(G^{mu nu} d_nu f) at Cartesian points.
 
@@ -422,8 +328,8 @@ def laplacian(
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m = bracket.m
     out = np.empty(pts.shape[0], dtype=complex)
-    for lo in range(0, pts.shape[0], point_chunk):
-        p = pts[lo : lo + point_chunk]
+    for lo in range(0, pts.shape[0], _POINT_CHUNK):
+        p = pts[lo : lo + _POINT_CHUNK]
         x, u = p[:, :m], p[:, m:]
         Gi = inverse_metric_at(bracket, profile, x, u)
         div_Gi = inverse_metric_divergence(bracket, profile, x, u)
@@ -520,13 +426,9 @@ def intertwine_residual(
     tail = 0.0
     per_fn = []
     for f in test_functions:
-        if f.band_limit > N:
-            # out-of-band mode: the truncated Q maps it to zero (and the
-            # undersized theta grid aliases it on the transported side)
-            Qf = RotatedFunction(base=dataclasses.replace(f, amplitude=0.0), A=np.eye(b1.m))
-        else:
-            Qf = RotatedFunction(base=f, A=conj[tuple(f.freq)].A)
-        lhs = laplacian(b1, profile, Qf, cart)
+        # an out-of-band f has Q f = 0, while the undersized theta grid
+        # aliases it on the transported side
+        lhs = laplacian(b1, profile, apply_Q(conj, f), cart)
         rhs, f_tail = _q_transported_laplacian(b2, profile, f, x_pts, r_pts, theta_pts, N, conj)
         res = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
         per_fn.append(res)

@@ -305,3 +305,36 @@ def test_text_errors():
         bracket_from_text("2 1\n1 1 5 3.0\n")
     with pytest.raises(ValueError):
         bracket_from_text("nonsense\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_text_rejects_non_finite(value):
+    with pytest.raises(ValueError, match=f"line 3 '1 2 3 {value}'"):
+        bracket_from_text(f"3 1\n1 1 2 1.0\n1 2 3 {value}\n")
+
+
+def test_text_rejects_repeated_entry():
+    # the same pair again, in either order, would silently overwrite the first
+    for again in ("1 1 2 2.0", "1 2 1 -2.0"):
+        with pytest.raises(ValueError, match=f"line 4 '{again}' repeats the entry of line 2"):
+            bracket_from_text(f"3 1\n1 1 2 1.0\n1 2 3 1.0\n{again}\n")
+
+
+def test_text_rejects_diagonal_entry():
+    with pytest.raises(ValueError, match="diagonal entry in line 2 '1 2 2 1.0'"):
+        bracket_from_text("3 1\n1 2 2 1.0\n")
+
+
+@pytest.mark.parametrize("header", ["0 3", "3 0", "-1 2"])
+def test_text_rejects_empty_dimensions(header):
+    with pytest.raises(ValueError, match=f"bad header line 1 '{header}'"):
+        bracket_from_text(f"{header}\n")
+
+
+def test_bracket_rejects_non_finite_and_empty():
+    lam = np.zeros((1, 3, 3))
+    lam[0, 0, 1], lam[0, 1, 0] = np.nan, np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Bracket(lam)
+    with pytest.raises(ValueError, match="k, m >= 1"):
+        Bracket(np.zeros((3, 0, 0)))

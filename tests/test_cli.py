@@ -151,3 +151,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 def test_cli_missing_config_file():
     assert main(["a2", "--config", "/nonexistent/path.cfg"]) == 2
+
+
+def test_cli_bad_thread_count_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ISOPHASAL_THREADS", "abc")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_QUAD)
+    assert main(["a2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "ISOPHASAL_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bracket_file_with_nan_exit_code(tmp_path, capsys):
+    (tmp_path / "nan.txt").write_text("3 1\n1 2 3 nan\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket.file = nan.txt\n" + FAST_QUAD)
+    assert main(["a2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "line 2 '1 2 3 nan'" in capsys.readouterr().err

@@ -12,10 +12,12 @@ from isophasal.heat import (
     FitIllConditionedError,
     QuadratureSpec,
     ThetaDependenceError,
+    WorkerCountError,
     fit_sweep,
     integrate_a2,
     isophasal_consistency,
     preflight_theta_invariance,
+    resolve_workers,
     sweep_exponents,
     sweep_s,
 )
@@ -60,6 +62,24 @@ def test_worker_count_invariance(cross1, reference_profile):
     r2 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=2))
     assert r1.value == r2.value
     assert r1.replicate_values == r2.replicate_values
+
+
+def test_resolve_workers(monkeypatch):
+    # only counts are computed here; no pool is started
+    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.delenv("ISOPHASAL_THREADS", raising=False)
+    assert resolve_workers(None) == 3
+    assert resolve_workers(5) == 5  # an explicit request is taken as given
+    for env, want in (("", 3), ("1", 1), ("2", 2), (" 3 ", 3), ("4", 3), ("1000000", 3)):
+        monkeypatch.setenv("ISOPHASAL_THREADS", env)
+        assert resolve_workers(None) == want
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5", "2x"])
+def test_resolve_workers_rejects_bad_env(monkeypatch, env):
+    monkeypatch.setenv("ISOPHASAL_THREADS", env)
+    with pytest.raises(WorkerCountError, match="ISOPHASAL_THREADS"):
+        resolve_workers(None)
 
 
 def test_inside_fraction_matches_volume(cross1, reference_profile):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 
 from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.coord import FDScheme, first_derivative
@@ -24,6 +25,51 @@ def test_testfunction_derivatives_match_fd(rng):
     np.testing.assert_allclose(grad, gfd, atol=1e-10)
     hfd = first_derivative(lambda q: TF.value_grad_hess(q)[1], pts, scheme)
     np.testing.assert_allclose(hess, hfd.transpose(0, 2, 1), atol=1e-9)
+
+
+ORACLE_FUNCTIONS = [
+    # both bumps, exponent 2, a negative and a zero frequency, amplitude != 1
+    itw.TestFunction(m=M, freq=(2, -1, 0), powers=(2, 0, 1), x_bump_rsq=1.2, u_bump_rsq=1.1, amplitude=-1.7),
+    # no bumps: the bare polynomial
+    itw.TestFunction(m=M, freq=(-2, 0, 1), powers=(0, 1, 0, 0, 0, 2), x_bump_rsq=None, u_bump_rsq=None, amplitude=0.6),
+    # one bump each way, no x monomial
+    itw.TestFunction(m=M, freq=(0, 2, -2), x_bump_rsq=None, u_bump_rsq=0.9),
+    itw.TestFunction(m=M, freq=(0, 0, 0), powers=(1, 1), x_bump_rsq=1.1, u_bump_rsq=None, amplitude=2.5),
+]
+
+
+@pytest.mark.parametrize("fn", ORACLE_FUNCTIONS, ids=lambda f: f"freq{f.freq}-powers{f.powers}")
+def test_testfunction_derivatives_match_sympy(fn):
+    # full symbolic oracle for the value, gradient and Hessian of f(x, u)
+    xs = sympy.symbols(f"x0:{M}")
+    us = sympy.symbols(f"u0:{2 * K}")
+    bump = lambda t: sympy.exp(1 - 1 / (1 - t))
+    expr = sympy.Float(fn.amplitude)
+    if fn.x_bump_rsq is not None:
+        expr *= bump(sum(v**2 for v in xs) / sympy.Float(fn.x_bump_rsq))
+    if fn.u_bump_rsq is not None:
+        expr *= bump(sum(v**2 for v in us) / sympy.Float(fn.u_bump_rsq))
+    for v, e in zip(xs, fn.powers):
+        expr *= v**e
+    for p, z in enumerate(fn.freq):
+        expr *= (us[2 * p] + sympy.I * (1 if z >= 0 else -1) * us[2 * p + 1]) ** abs(z)
+    syms = xs + us
+    grad = [sympy.diff(expr, v) for v in syms]
+    hess = [[sympy.diff(g, v) for v in syms] for g in grad]
+    oracle = sympy.lambdify(syms, [expr, grad, hess], "mpmath")
+    pts = np.array([
+        [0.31, -0.22, 0.17, 0.08, -0.12, 0.27, 0.33, -0.41, 0.24, 0.18, -0.29, 0.36],
+        [0.0, -0.22, 0.0, 0.08, -0.12, 0.27, 0.33, -0.41, 0.24, 0.18, -0.29, 0.36],  # x_i = 0
+        [0.31, -0.22, 0.17, 0.08, -0.12, 0.27, 0.0, 0.0, 0.24, 0.18, -0.29, 0.36],  # u plane 0 at its origin
+        [0.31, 0.0, 0.17, 0.08, -0.12, 0.0, 0.33, -0.41, 0.24, 0.18, 0.0, 0.0],  # u plane 2 at its origin
+    ])
+    val, grad_a, hess_a = fn.value_grad_hess(pts)
+    for i, pt in enumerate(pts):
+        v_o, g_o, h_o = oracle(*pt)
+        for got, want in ((val[i], v_o), (grad_a[i], g_o), (hess_a[i], h_o)):
+            want = np.array(want, dtype=complex)
+            scale = np.max(np.abs(want))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 * scale)
 
 
 def test_testfunction_single_mode(rng):
@@ -53,11 +99,11 @@ def test_band_limit():
 
 def test_fourier_grid_size_validation():
     with pytest.raises(ValueError):
-        itw.fourier_decompose(lambda q: np.zeros(len(q)), N=2, k=3, grid_size=4)
+        itw.FourierField(lambda q: np.zeros(len(q)), N=2, k=3, grid_size=4)
 
 
 def test_fourier_single_mode(rng):
-    field = itw.fourier_decompose(lambda q: TF(q), N=2, k=K)
+    field = itw.FourierField(lambda q: TF(q), N=2, k=K)
     x0 = rng.uniform(-0.3, 0.3, size=M)
     r0 = rng.uniform(0.2, 0.4, size=K)
     coefs = field.coefficients_all(x0, r0)
@@ -67,7 +113,7 @@ def test_fourier_single_mode(rng):
 
 def test_fourier_constant_in_theta(rng):
     f0 = itw.TestFunction(m=M, freq=(0, 0, 0), powers=(1,))
-    field = itw.fourier_decompose(lambda q: f0(q), N=1, k=K)
+    field = itw.FourierField(lambda q: f0(q), N=1, k=K)
     coefs = field.coefficients_all(rng.uniform(-0.3, 0.3, size=M), rng.uniform(0.2, 0.4, size=K))
     live = {Z for Z, c in coefs.items() if abs(c) > 1e-13}
     assert live == {(0, 0, 0)}
@@ -85,13 +131,18 @@ def test_fourier_reconstruction_and_parseval(rng):
     def f(q):
         return sum(wi * fi(q) for wi, fi in zip(w, fns))
 
-    field = itw.fourier_decompose(f, N=2, k=K)
+    field = itw.FourierField(f, N=2, k=K)
     x0 = rng.uniform(-0.25, 0.25, size=M)
     r0 = rng.uniform(0.2, 0.4, size=K)
     th0 = rng.uniform(0, 2 * np.pi, size=K)
     direct = f(np.concatenate([x0, polar_to_cartesian(r0[None], th0[None])[0]])[None])[0]
-    assert abs(field.reconstruct(x0, r0, th0) - direct) < 1e-12
-    assert field.parseval_gap(x0, r0) < 1e-10
+    coefs = field.coefficients_all(x0, r0)
+    series = sum(c * np.exp(1j * np.dot(Z, th0)) for Z, c in coefs.items())
+    assert abs(series - direct) < 1e-12
+    # Parseval on the fiber: sum |f_Z|^2 equals the grid mean of |f|^2
+    G = field.sigma.shape[0]
+    fiber = np.concatenate([np.tile(x0, (G, 1)), polar_to_cartesian(np.tile(r0, (G, 1)), field.sigma)], axis=1)
+    assert abs(sum(abs(c) ** 2 for c in coefs.values()) - np.mean(np.abs(f(fiber)) ** 2)) < 1e-10
 
 
 def smooth_all_modes(q):
@@ -106,7 +157,7 @@ def smooth_all_modes(q):
 def test_fourier_fft_matches_trapezoid_sums(rng, N, grid_size):
     # the fftn spectrum against direct sums mean(vals * exp(-i Z.sigma)) on the
     # same grid, over every |Z|_inf <= N (negative frequencies included)
-    field = itw.fourier_decompose(smooth_all_modes, N=N, k=K, grid_size=grid_size)
+    field = itw.FourierField(smooth_all_modes, N=N, k=K, grid_size=grid_size)
     x0 = rng.uniform(-0.3, 0.3, size=M)
     r0 = rng.uniform(0.8, 1.2, size=K)
     G = field.sigma.shape[0]
@@ -125,7 +176,7 @@ def test_fourier_fft_matches_trapezoid_sums(rng, N, grid_size):
 
 def test_fourier_batched_fibers(rng):
     # a batch of fibers gives each fiber's coefficients, one frequency per fiber
-    field = itw.fourier_decompose(smooth_all_modes, N=2, k=K)
+    field = itw.FourierField(smooth_all_modes, N=2, k=K)
     xs = rng.uniform(-0.3, 0.3, size=(4, M))
     rs = rng.uniform(0.2, 0.5, size=(4, K))
     Zs = np.array([(0, 0, 0), (-2, 1, 0), (1, -1, 2), (2, 2, -2)])
@@ -141,14 +192,21 @@ def test_fourier_batched_fibers(rng):
 # --- Q ---------------------------------------------------------------------------
 
 def test_apply_q_identity_pair(cross1, rng):
-    Qf = itw.apply_Q(cross1, cross1, TF)
+    Qf = itw.apply_Q(itw.build_conjugators(cross1, cross1, 2), TF)
     pts = sample_points(rng)
     np.testing.assert_allclose(Qf(pts), TF(pts), atol=1e-12)
 
 
+def test_apply_q_out_of_band_is_zero(cross1, quaternion, rng):
+    # the truncated Q maps a mode beyond the band to the zero function
+    Qf = itw.apply_Q(itw.build_conjugators(cross1, quaternion, 1), TF)
+    val, grad, hess = Qf.value_grad_hess(sample_points(rng))
+    assert not np.any(val) and not np.any(grad) and not np.any(hess)
+
+
 def test_q_preserves_modes(cross1, cross2, rng):
-    Qf = itw.apply_Q(cross1, cross2, TF)
-    field = itw.fourier_decompose(lambda q: Qf(q), N=2, k=K)
+    Qf = itw.apply_Q(itw.build_conjugators(cross1, cross2, 2), TF)
+    field = itw.FourierField(lambda q: Qf(q), N=2, k=K)
     coefs = field.coefficients_all(rng.uniform(-0.3, 0.3, size=M), rng.uniform(0.2, 0.4, size=K))
     live = {Z for Z, c in coefs.items() if abs(c) > 1e-13}
     assert live == {TF.freq}
@@ -158,14 +216,14 @@ def test_q_linear(cross1, quaternion, rng):
     f1 = itw.TestFunction(m=M, freq=(1, -2, 0), powers=(1,))
     f2 = itw.TestFunction(m=M, freq=(1, -2, 0), powers=(0, 0, 2))
     a, b = 1.7, -0.4 + 0.9j
-    Q1 = itw.apply_Q(cross1, quaternion, f1)
-    Q2 = itw.apply_Q(cross1, quaternion, f2)
+    conj = itw.build_conjugators(cross1, quaternion, 2)
     pts = sample_points(rng)
-    combined = a * Q1(pts) + b * Q2(pts)
+    combined = a * itw.apply_Q(conj, f1)(pts) + b * itw.apply_Q(conj, f2)(pts)
     # same frequency, so the combination is again a single-mode function with
-    # the same rotation: apply Q to the sum by linearity of the coefficients
-    A = itw.build_conjugators(cross1, quaternion, 2)[f1.freq].A
-    direct = a * itw.RotatedFunction(f1, A)(pts) + b * itw.RotatedFunction(f2, A)(pts)
+    # the same rotation: Q of the sum is the sum composed with x -> A x
+    rotated = pts.copy()
+    rotated[:, :M] = pts[:, :M] @ conj[f1.freq].A.T
+    direct = a * f1(rotated) + b * f2(rotated)
     np.testing.assert_allclose(combined, direct, atol=1e-13)
 
 
@@ -176,16 +234,16 @@ def test_q_unitary_on_fibers(cross1, quaternion, rng):
         itw.TestFunction(m=M, freq=(1, 0, -1), powers=(1,)),
         itw.TestFunction(m=M, freq=(0, 2, 1)),
     ]
-    conj = {Z: rep.A for Z, rep in itw.build_conjugators(cross1, quaternion, 2).items()}
+    conj = itw.build_conjugators(cross1, quaternion, 2)
 
     def f(q):
         return sum(fi(q) for fi in fns)
 
     def Qf(q):
-        return sum(itw.RotatedFunction(fi, conj[fi.freq])(q) for fi in fns)
+        return sum(itw.apply_Q(conj, fi)(q) for fi in fns)
 
-    field_f = itw.fourier_decompose(f, N=2, k=K)
-    field_Qf = itw.fourier_decompose(Qf, N=2, k=K)
+    field_f = itw.FourierField(f, N=2, k=K)
+    field_Qf = itw.FourierField(Qf, N=2, k=K)
     for _ in range(4):
         x0 = rng.uniform(-0.3, 0.3, size=M)
         r0 = rng.uniform(0.2, 0.4, size=K)
@@ -194,7 +252,7 @@ def test_q_unitary_on_fibers(cross1, quaternion, rng):
         for fi in fns:
             Z = fi.freq
             cq = field_Qf.coefficient(Z, x0, r0)
-            cf = field_f.coefficient(Z, conj[Z] @ x0, r0)
+            cf = field_f.coefficient(Z, conj[Z].A @ x0, r0)
             assert abs(abs(cq) - abs(cf)) < 1e-8
             total_q += abs(cq) ** 2
             total_f += abs(cf) ** 2
