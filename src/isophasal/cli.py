@@ -102,6 +102,8 @@ def _cmd_a2(cfg: RunConfig) -> int:
         "s": profile.s, "a2": res.value, "stderr": res.std_error,
         "n_nodes": res.n_nodes, "method": res.method,
         "inside_fraction": res.inside_fraction,
+        "inside_fractions": list(res.replicate_inside_fractions),
+        "preflight_deviation": res.preflight_deviation,
     })
     _write_jsonl(cfg.out_dir / "a2.jsonl", [rec])
     print(f"a2 = {res.value:.6e} +- {res.std_error:.2e} "
@@ -128,6 +130,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         "leading_coefficient": res.leading_coefficient,
         "leading_sigma": res.leading_sigma,
         "condition": res.condition,
+        "preflight_deviations": list(res.preflight_deviations),
     })
     _write_jsonl(cfg.out_dir / "sweep.jsonl", [rec])
     print(f"fit over s^{list(res.exponents)}: leading coefficient "

@@ -16,6 +16,14 @@ estimate.  Node evaluation is embarrassingly parallel; the reduction is a
 fixed-order pairwise sum over node index, so results are bit-identical for
 any worker count.
 
+Pool workers run under a fixed glibc allocator policy: an mmap threshold of
+32 MiB and a trim threshold of 256 MiB, both static.  Under glibc's default
+dynamic thresholds each engine batch hands its working set back to the OS
+and faults it in again, which cost the sweep about a quarter of its CPU time
+in system time.  The policy is set only in the worker processes this module
+forks and ends; the caller's process, and batches it evaluates itself, keep
+the default.  The arithmetic is the same either way.
+
 The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over the degree
 window d in {2, 1, 0, -1, -2}; the leading coefficient (exponent 2 - 2k)
 must come out positive for this metric family with k <= 3.
@@ -70,6 +78,7 @@ THETA_EQUIVARIANCE_TOL = 1e-12
 _PREFLIGHT_POINTS = 256
 _PREFLIGHT_SEED = 2024
 _ENGINE_CHUNK = 128  # points per curvature-engine batch
+_TASK_CHUNK = 4096  # nodes handed to one worker task (fixed: determinism)
 
 
 class ThetaDependenceError(AssertionError):
@@ -107,7 +116,6 @@ class QuadratureSpec:
     n_replicates: int = 8
     seed: int = 0
     method: str = "qmc"
-    chunk: int = 4096       # nodes handed to one worker task (fixed: determinism)
     workers: int | None = None  # None -> ISOPHASAL_THREADS or the available cores
     preflight: bool = True
 
@@ -128,9 +136,11 @@ class QuadratureResult:
     n_replicates: int
     seed: int
     method: str
-    inside_fraction: float
+    inside_fraction: float  # mean of replicate_inside_fractions
     wall_time: float
     replicate_values: tuple[float, ...]
+    replicate_inside_fractions: tuple[float, ...]
+    preflight_deviation: float | None  # preflight_theta_invariance's value; None when off
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -204,14 +214,44 @@ def _eval_task(args) -> tuple[int, np.ndarray, int]:
     return (idx, *_eval_contributions(Bracket(tensor), profile, x, r))
 
 
+def _worker_malloc_policy() -> None:
+    """Pool initializer: static glibc mmap and trim thresholds in this worker.
+
+    Both mallopt calls also turn off glibc's dynamic threshold adjustment,
+    which otherwise tracks the largest freed block and returns each engine
+    batch's arrays to the OS, to be faulted in again by the next batch.  A
+    no-op off glibc or when the library or mallopt is unavailable.  It must
+    never raise: a Pool whose initializer raises respawns its workers forever.
+    """
+    try:
+        import ctypes
+        import platform
+
+        if platform.libc_ver()[0] != "glibc":
+            return
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        # a rejected setting (return value 0) leaves glibc's default in place
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, the dynamic threshold's 64-bit maximum
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: 256 MiB
+    except Exception:  # any failure keeps glibc's default policy; see the docstring
+        return
+
+
 @contextlib.contextmanager
-def _node_pool(bracket: Bracket, spec: QuadratureSpec, n_nodes: int, workers: int):
-    """One fork pool for every batch of an integrate_a2 call, or None when batches run in process."""
-    if workers <= 1 or n_nodes <= spec.chunk:
+def _node_pool(bracket: Bracket, n_nodes: int, workers: int):
+    """One fork pool for every batch of an integrate_a2 call, or None when batches run in process.
+
+    Each worker runs _worker_malloc_policy first, so engine batches reuse
+    its heap instead of page-faulting it in afresh.  The policy lives and
+    dies with the workers; the calling process keeps its allocator settings.
+    """
+    if workers <= 1 or n_nodes <= _TASK_CHUNK:
         yield None
         return
     frame.curvature_tables(bracket.m, bracket.k)  # built once here, inherited by the workers
-    with get_context("fork").Pool(processes=workers) as pool:
+    with get_context("fork").Pool(processes=workers, initializer=_worker_malloc_policy) as pool:
         yield pool
 
 
@@ -220,25 +260,24 @@ def _contributions_parallel(
     profile: CutoffProfile,
     x: np.ndarray,
     r: np.ndarray,
-    spec: QuadratureSpec,
     pool: Pool | None,
 ) -> tuple[np.ndarray, int]:
     """Per-node contributions and the usable-node count, over the pool when there is one.
 
-    Tasks are fixed slices of spec.chunk nodes and each result lands at its
+    Tasks are fixed slices of _TASK_CHUNK nodes and each result lands at its
     slice, so the output does not depend on the number of workers.
     """
     n = x.shape[0]
     if pool is None:
         return _eval_contributions(bracket, profile, x, r)
     tasks = [
-        (ci, np.asarray(bracket.tensor), profile, x[lo : lo + spec.chunk], r[lo : lo + spec.chunk])
-        for ci, lo in enumerate(range(0, n, spec.chunk))
+        (ci, np.asarray(bracket.tensor), profile, x[lo : lo + _TASK_CHUNK], r[lo : lo + _TASK_CHUNK])
+        for ci, lo in enumerate(range(0, n, _TASK_CHUNK))
     ]
     out = np.empty(n)
     usable = 0
     for ci, vals, n_usable in pool.imap_unordered(_eval_task, tasks):
-        lo = ci * spec.chunk
+        lo = ci * _TASK_CHUNK
         out[lo : lo + vals.shape[0]] = vals
         usable += n_usable
     return out, usable
@@ -307,13 +346,12 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     rx = profile.x_radius
     rr = profile.u_radius
     workers = resolve_workers(spec.workers)
-    if spec.preflight:
-        preflight_theta_invariance(bracket, profile)
+    deviation = preflight_theta_invariance(bracket, profile) if spec.preflight else None
 
     if spec.method == "tensor_gauss":
         x, r, wts = _tensor_gauss_nodes(spec.n_nodes, m, k, rx, rr)
-        with _node_pool(bracket, spec, x.shape[0], workers) as pool:
-            contrib, usable = _contributions_parallel(bracket, profile, x, r, spec, pool)
+        with _node_pool(bracket, x.shape[0], workers) as pool:
+            contrib, usable = _contributions_parallel(bracket, profile, x, r, pool)
         inside = usable / x.shape[0]
         if inside == 0.0:
             raise DegenerateNodesError("no tensor-product nodes hit the integrand support")
@@ -322,17 +360,18 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
             value=value, std_error=0.0, n_nodes=x.shape[0], n_replicates=1,
             seed=spec.seed, method=spec.method, inside_fraction=inside,
             wall_time=time.perf_counter() - t_start, replicate_values=(value,),
+            replicate_inside_fractions=(inside,), preflight_deviation=deviation,
         )
 
     vol_box = (2.0 * rx) ** m * rr**k
     rep_values = []
     inside_fracs = []
-    with _node_pool(bracket, spec, spec.n_nodes, workers) as pool:
+    with _node_pool(bracket, spec.n_nodes, workers) as pool:
         for rep in range(spec.n_replicates):
             box = _sample_box(spec, rep, m + k)
             x = (2.0 * box[:, :m] - 1.0) * rx
             r = box[:, m:] * rr
-            contrib, usable = _contributions_parallel(bracket, profile, x, r, spec, pool)
+            contrib, usable = _contributions_parallel(bracket, profile, x, r, pool)
             inside_fracs.append(usable / spec.n_nodes)
             rep_values.append(vol_box * float(np.sum(contrib)) / spec.n_nodes)
     if max(inside_fracs) == 0.0:
@@ -350,6 +389,8 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
         inside_fraction=float(np.mean(inside_fracs)),
         wall_time=time.perf_counter() - t_start,
         replicate_values=tuple(float(v) for v in rep_values),
+        replicate_inside_fractions=tuple(inside_fracs),
+        preflight_deviation=deviation,
     )
 
 
@@ -370,6 +411,8 @@ class SweepResult:
     leading_coefficient: float
     leading_sigma: float
     condition: float  # 2-norm condition number of the column-normalized weighted design
+    # per scale, from sweep_s: the preflight's measured deviation, None when it is off
+    preflight_deviations: tuple[float | None, ...] = ()
 
     @property
     def leading_positive(self) -> bool:
@@ -445,12 +488,9 @@ def sweep_s(
         raise ValueError("need at least 5 distinct scale values")
     if max(s_arr) / min(s_arr) < 4.0:
         raise ValueError("scale values should span at least a factor of 4")
-    vals, errs = [], []
-    for s in s_arr:
-        res = integrate_a2(bracket, profile.scaled(s), spec)
-        vals.append(res.value)
-        errs.append(res.std_error)
-    return fit_sweep(s_arr, vals, errs, bracket.k)
+    results = [integrate_a2(bracket, profile.scaled(s), spec) for s in s_arr]
+    fit = fit_sweep(s_arr, [r.value for r in results], [r.std_error for r in results], bracket.k)
+    return dataclasses.replace(fit, preflight_deviations=tuple(r.preflight_deviation for r in results))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from isophasal import frame
+from isophasal import frame, heat
 from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.coord import FDScheme, christoffel_fd, first_derivative, make_metric_fn
 from isophasal.metric import CutoffProfile, metric_at
@@ -35,6 +37,23 @@ def reference_profile():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def opened_pools(monkeypatch):
+    """Worker counts of the pools heat._node_pool opens while the test runs, in order."""
+    opened = []
+    node_pool = heat._node_pool
+
+    @contextlib.contextmanager
+    def spy(*args, **kwargs):
+        with node_pool(*args, **kwargs) as pool:
+            if pool is not None:
+                opened.append(pool._processes)
+            yield pool
+
+    monkeypatch.setattr(heat, "_node_pool", spy)
+    return opened
 
 
 def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,6 +6,7 @@ complete.  The heavy quadrature fixtures are session scoped and shared.
 
 import dataclasses
 import math
+import os
 import time
 
 import numpy as np
@@ -243,10 +244,12 @@ def test_criterion_8_intertwining():
            f"negative control {control.max_residual:.2e} > 1e-1, {elapsed:.0f}s")
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
+def test_criterion_9_determinism(tmp_path, monkeypatch, opened_pools):
+    # more nodes than one pool task, on two cores: the two-worker leg really forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "quadrature.nodes = 4096\nquadrature.replicates = 3\nquadrature.preflight = false\n"
+        "quadrature.nodes = 8192\nquadrature.replicates = 3\nquadrature.preflight = false\n"
         "intertwine.n_points = 4\nintertwine.n_functions = 2\nbracket2.builtin = cross2\n"
     )
     artifacts = ("a2.jsonl", "sweep.jsonl", "sweep.csv", "intertwine.jsonl", "brackets.jsonl")
@@ -254,6 +257,9 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
         monkeypatch.setenv("ISOPHASAL_THREADS", threads)
         for cmd in ("brackets", "a2", "sweep", "intertwine"):
             cli_main([cmd, "--config", str(cfg), "--out", str(tmp_path / d)])
+        if d == "o1":
+            assert opened_pools == []
+    assert opened_pools == [2] * 6  # one a2 integration, five sweep scales
     identical = all(
         (tmp_path / "o1" / art).read_bytes() == (tmp_path / "o2" / art).read_bytes()
         for art in artifacts

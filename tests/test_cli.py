@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -91,14 +92,20 @@ def test_cli_a2_schema(tmp_path):
         assert key in rec
     assert rec["n_nodes"] == 2048
     assert rec["a2"] > 0
+    assert len(rec["inside_fractions"]) == 3
+    assert rec["inside_fraction"] == float(np.mean(rec["inside_fractions"]))
+    assert rec["preflight_deviation"] is None  # preflight off in FAST_QUAD
 
 
-def test_cli_a2_deterministic(tmp_path, monkeypatch):
+def test_cli_a2_deterministic(tmp_path, monkeypatch, opened_pools):
+    # above one pool task of nodes, on two cores, so the second run forks two workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_QUAD)
-    main(["a2", "--config", str(cfg), "--out", str(tmp_path / "o1")])
-    monkeypatch.setenv("ISOPHASAL_THREADS", "2")
-    main(["a2", "--config", str(cfg), "--out", str(tmp_path / "o2")])
+    for d, threads in (("o1", "1"), ("o2", "2")):
+        monkeypatch.setenv("ISOPHASAL_THREADS", threads)
+        main(["a2", "--config", str(cfg), "--nodes", "8192", "--out", str(tmp_path / d)])
+    assert opened_pools == [2]
     b1 = (tmp_path / "o1" / "a2.jsonl").read_bytes()
     b2 = (tmp_path / "o2" / "a2.jsonl").read_bytes()
     assert b1 == b2
@@ -106,7 +113,7 @@ def test_cli_a2_deterministic(tmp_path, monkeypatch):
 
 def test_cli_sweep_outputs(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(FAST_QUAD)
+    cfg.write_text(FAST_QUAD.replace("preflight = false", "preflight = true"))
     main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
           "--s-list", "1,2,4,8,16"])
     csv_lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
@@ -116,6 +123,9 @@ def test_cli_sweep_outputs(tmp_path):
     assert fit["exponents"][0] == -4
     # fit_sweep refuses designs above 1e12
     assert 1.0 <= fit["condition"] <= 1e12
+    # each scale's certified torus-equivariance deviation, at rounding level
+    assert len(fit["preflight_deviations"]) == 5
+    assert all(0.0 <= d < 1e-12 for d in fit["preflight_deviations"])
 
 
 def test_cli_intertwine(tmp_path):

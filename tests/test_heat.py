@@ -1,12 +1,16 @@
+import ctypes
 import dataclasses
 import math
+import multiprocessing
+import platform
+import resource
 
 import numpy as np
 import pytest
 
-from isophasal.brackets import builtin_bracket
+from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.metric import CutoffProfile
-from isophasal import heat
+from isophasal import frame, heat
 from isophasal.heat import (
     DegenerateNodesError,
     FitIllConditionedError,
@@ -56,12 +60,76 @@ def test_seed_determinism(cross1, reference_profile):
     assert r3.value != r1.value  # different seed shifts the estimate
 
 
-def test_worker_count_invariance(cross1, reference_profile):
-    base = dataclasses.replace(SMALL, chunk=512)
-    r1 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=1))
-    r2 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=2))
+def _same_result(r1, r2):
     assert r1.value == r2.value
     assert r1.replicate_values == r2.replicate_values
+    assert r1.std_error == r2.std_error
+    assert r1.inside_fraction == r2.inside_fraction
+    assert r1.replicate_inside_fractions == r2.replicate_inside_fractions
+
+
+def test_worker_count_invariance(cross1, reference_profile, opened_pools):
+    # three pool tasks per replicate, the last one short
+    base = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808)
+    r1 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=1))
+    r2 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=2))
+    assert opened_pools == [2]
+    _same_result(r1, r2)
+
+
+def _support_points(profile, n, seed=0):
+    """n uniform box nodes that integrate_a2 would hand to the engine (inside the support)."""
+    rng = np.random.default_rng(seed)
+    box = rng.uniform(size=(40 * n, 9))
+    x = (2.0 * box[:, :6] - 1.0) * profile.x_radius
+    r = box[:, 6:] * profile.u_radius
+    keep = heat._usable_nodes(profile, x, r)
+    assert np.count_nonzero(keep) >= n
+    return x[keep][:n], r[keep][:n]
+
+
+def _engine_minor_faults(args):
+    """Minor page faults of three engine passes over the points after a warm-up pass."""
+    tensor, profile, x, r = args
+    bracket = Bracket(tensor)
+    frame.curvature_scalars(bracket, profile, x, r, chunk=heat._ENGINE_CHUNK)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        frame.curvature_scalars(bracket, profile, x, r, chunk=heat._ENGINE_CHUNK)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="worker allocator policy is glibc only")
+def test_pool_workers_reuse_their_heap(cross1, reference_profile):
+    # glibc's default dynamic thresholds hand each engine batch back to the OS:
+    # about 6 faults per point and pass; the worker policy reuses the heap
+    x, r = _support_points(reference_profile, 1000)
+    with heat._node_pool(cross1, 10 * heat._TASK_CHUNK, 2) as pool:
+        faults = pool.apply(_engine_minor_faults, ((cross1.tensor, reference_profile, x, r),))
+    assert faults < x.shape[0], faults
+
+
+class _RejectingLibc:
+    """Stands in for libc: mallopt rejects every setting."""
+
+    def __init__(self, name):
+        self.mallopt = lambda param, value: 0
+
+
+def _unloadable_libc(name):
+    raise OSError(f"cannot load {name}")
+
+
+@pytest.mark.parametrize("libc", [_unloadable_libc, _RejectingLibc], ids=["no_library", "mallopt_rejects"])
+def test_pool_without_allocator_policy(cross1, reference_profile, monkeypatch, opened_pools, libc):
+    monkeypatch.setattr(ctypes, "CDLL", libc)  # inherited by the forked workers
+    assert heat._worker_malloc_policy() is None  # returns instead of raising
+    base = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK)
+    r1 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=1))
+    r2 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=2))
+    assert opened_pools == [2]
+    _same_result(r1, r2)
+    assert multiprocessing.active_children() == []
 
 
 def test_resolve_workers(monkeypatch):
@@ -89,6 +157,15 @@ def test_inside_fraction_matches_volume(cross1, reference_profile):
     ball_k = (math.pi ** (k / 2) / math.gamma(k / 2 + 1)) / 2**k  # positive orthant of the r-ball
     expected = ball_m * ball_k
     assert abs(res.inside_fraction - expected) / expected < 0.05
+    assert len(res.replicate_inside_fractions) == SMALL.n_replicates
+    assert res.inside_fraction == float(np.mean(res.replicate_inside_fractions))
+    assert all(abs(f - expected) / expected < 0.1 for f in res.replicate_inside_fractions)
+
+
+def test_preflight_deviation_kept(cross1, reference_profile):
+    assert integrate_a2(cross1, reference_profile, SMALL).preflight_deviation is None
+    res = integrate_a2(cross1, reference_profile, dataclasses.replace(SMALL, preflight=True))
+    assert res.preflight_deviation == preflight_theta_invariance(cross1, reference_profile)
 
 
 def test_stderr_decreases_with_doubling(cross1, reference_profile):
@@ -251,6 +328,7 @@ def test_sweep_s_small_run(cross1, reference_profile):
     assert res.exponents[0] == -4
     assert res.leading_positive
     assert res.rel_residual < 1e-8  # exactly determined system
+    assert res.preflight_deviations == (None,) * 5
     # scaling sanity: s^4 a2(s) approaches the leading coefficient
     tail = res.a2_values[-1] * res.s_values[-1] ** 4
     assert tail == pytest.approx(res.leading_coefficient, rel=0.05)
