@@ -4,7 +4,8 @@
 Produces, under --out (default ./artifacts):
     brackets.jsonl    isospectrality / centralizer / fingerprint report
     validate.jsonl    oracle self-tests and cross-engine checks
-    a2.jsonl          heat coefficient for each builtin bracket
+    a2.jsonl          heat coefficient for each builtin bracket: the `isophasal a2`
+                      record plus the bracket's name
     sweep.jsonl/.csv  scale sweep and exponent-ladder fit
     intertwine.jsonl  Laplacian intertwining residuals for both pairs
 
@@ -14,16 +15,14 @@ node budget; at --fast statistics it may legitimately exit nonzero.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 from isophasal.brackets import builtin_bracket
-from isophasal.cli import main as cli_main
+from isophasal.cli import _a2_record, _write_jsonl, main as cli_main
 from isophasal.config import load_config
-from isophasal.heat import QuadratureSpec, integrate_a2
-from isophasal.metric import CutoffProfile
+from isophasal.heat import integrate_a2
 
 
 def run(argv=None):
@@ -53,22 +52,15 @@ def run(argv=None):
     rcs["validate"] = cli_main(["validate", *base])
 
     # a2 for the whole triple, one record per bracket
-    profile = CutoffProfile(1.0, 1.0, 1.0)
-    spec = QuadratureSpec(n_nodes=nodes, n_replicates=reps, seed=args.seed)
     cfg = load_config(None, overrides={"quadrature.nodes": str(nodes),
                                        "quadrature.replicates": str(reps),
                                        "quadrature.seed": str(args.seed)})
     records = []
     for name in ("cross1", "cross2", "quaternion"):
-        res = integrate_a2(builtin_bracket(name), profile, spec)
-        records.append({
-            "bracket": name, "s": 1.0, "a2": res.value, "stderr": res.std_error,
-            "n_nodes": res.n_nodes, "seed": args.seed, "config_hash": cfg.config_hash,
-        })
+        res = integrate_a2(builtin_bracket(name), cfg.cutoff(), cfg.quadrature())
+        records.append({**_a2_record(cfg, res), "bracket": name})
         print(f"a2({name}) = {res.value:.6e} +- {res.std_error:.2e}")
-    with open(out / "a2.jsonl", "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_jsonl(out / "a2.jsonl", records)
 
     rcs["sweep"] = cli_main(["sweep", *base])
     rcs["intertwine"] = cli_main(["intertwine", "--config", str(cfg_pair), *base])

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import itertools
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +38,10 @@ __all__ = [
     "bracket_to_text",
     "bracket_from_text",
 ]
+
+_RANK_TOL = 1e-10  # centralizer_dim: singular values below this fraction of the largest are null
+_SPECTRUM_TOL = 1e-10  # conjugator: spectra further apart than this admit no conjugator
+_KERNEL_FLOOR = 1e-8  # canonical_skew_frame: |S v| below this fraction of mu_max is kernel
 
 
 class SpectraMismatchError(ValueError):
@@ -153,7 +156,7 @@ def check_isospectral(
     return IsospectralReport(max_dev <= tol, max_dev, len(samples), tol)
 
 
-def canonical_skew_frame(S: np.ndarray, rank_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def canonical_skew_frame(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal U and descending mu >= 0 with U^T S U = blockdiag(mu_j * J, 0), J = [[0,-1],[1,0]].
 
     Built from the eigendecomposition of -S^2: within each positive eigenspace,
@@ -170,7 +173,7 @@ def canonical_skew_frame(S: np.ndarray, rank_tol: float = 1e-10) -> tuple[np.nda
     mu_max = np.sqrt(max(w[0], 0.0)) if m else 0.0
     # eigh noise puts kernel eigenvalues of -S^2 near machine epsilon, so the
     # reliable kernel test is on |S v| itself, floored above sqrt(eps)*scale
-    mu_floor = mu_max * max(rank_tol, 1e-8)
+    mu_floor = mu_max * _KERNEL_FLOOR
     cols: list[np.ndarray] = []
     mus: list[float] = []
     idx = 0
@@ -223,20 +226,19 @@ def conjugator(
     b1: Bracket,
     b2: Bracket,
     Z: np.ndarray,
-    tol: float = 1e-10,
     require_match: bool = True,
 ) -> ConjugatorReport:
     """Orthogonal A with A^T j1(Z) A = j2(Z), via the canonical block reductions.
 
-    Raises SpectraMismatchError when the spectra differ beyond tol (no
+    Raises SpectraMismatchError when the spectra differ beyond _SPECTRUM_TOL (no
     conjugator exists); with require_match=False the best-effort A is
     returned anyway and residual_conj reports the failure.
     """
     S1 = jmap(b1, Z)
     S2 = jmap(b2, Z)
     dev = float(np.max(np.abs(np.linalg.svd(S1, compute_uv=False) - np.linalg.svd(S2, compute_uv=False))))
-    if require_match and dev > tol:
-        raise SpectraMismatchError(f"spectra differ by {dev:g} > tol {tol:g} at Z={np.asarray(Z)}")
+    if require_match and dev > _SPECTRUM_TOL:
+        raise SpectraMismatchError(f"spectra differ by {dev:g} > tol {_SPECTRUM_TOL:g} at Z={np.asarray(Z)}")
     U1, _ = canonical_skew_frame(S1)
     U2, _ = canonical_skew_frame(S2)
     A = U1 @ U2.T
@@ -245,7 +247,7 @@ def conjugator(
     return ConjugatorReport(A=A, residual_conj=res_c, residual_orth=res_o)
 
 
-def centralizer_dim(bracket: Bracket, rank_tol: float = 1e-10) -> int:
+def centralizer_dim(bracket: Bracket) -> int:
     """dim{B in so(m): B j(Z_p) = j(Z_p) B for all p}, via the nullity of B -> [B, j(Z_p)]_p."""
     m = bracket.m
     js = bracket.jmaps()
@@ -260,7 +262,7 @@ def centralizer_dim(bracket: Bracket, rank_tol: float = 1e-10) -> int:
     sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return len(pairs)
-    return int(np.sum(sv <= rank_tol * sv[0]))
+    return int(np.sum(sv <= _RANK_TOL * sv[0]))
 
 
 def gw_dimension_bound(m: int) -> int:
@@ -342,18 +344,18 @@ def signed_permutations(k: int) -> list[np.ndarray]:
     return out
 
 
-def equivalence_invariants(bracket: Bracket, grid: Sequence[np.ndarray] | None = None) -> np.ndarray:
+def equivalence_invariants(bracket: Bracket) -> np.ndarray:
     """Fingerprint vector invariant under bracket equivalence; equality is necessary, not sufficient.
 
     Concatenates the centralizer dimension, traces of powers of sum_p j(Z_p)^2,
-    and per-grid-vector spectra symmetrized over the signed-permutation orbit
-    of Z (the lattice-preserving changes of torus coordinates).
+    and spectra symmetrized over the signed-permutation orbit of Z (the
+    lattice-preserving changes of torus coordinates) for each Z of a fixed
+    grid: the coordinate axes and four seeded random unit vectors.
     """
-    if grid is None:
-        rng = np.random.default_rng(7)
-        grid = [np.eye(bracket.k)[p] for p in range(bracket.k)]
-        extra = rng.normal(size=(4, bracket.k))
-        grid += [v / np.linalg.norm(v) for v in extra]
+    rng = np.random.default_rng(7)
+    grid = [np.eye(bracket.k)[p] for p in range(bracket.k)]
+    extra = rng.normal(size=(4, bracket.k))
+    grid += [v / np.linalg.norm(v) for v in extra]
     parts: list[np.ndarray] = [np.array([float(centralizer_dim(bracket))])]
     js = bracket.jmaps()
     P = np.einsum("pij,pjl->il", js, js)

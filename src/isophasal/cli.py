@@ -17,9 +17,9 @@ Artifacts are JSON lines (one record per result, sorted keys, no volatile
 fields) plus a CSV for the sweep table, so repeated runs with the same
 config and seed are byte-identical.  Every record embeds the config hash and
 seed.  Exit status: 0 on success, 1 when an asserted tolerance fails, 2 on
-configuration errors.  ISOPHASAL_THREADS caps worker parallelism; it must
-be a positive integer (anything else exits with status 2), and counts above
-the available cores are cut to them.
+configuration errors (a bad scale list among them).  ISOPHASAL_THREADS sets
+the worker count (default: the available cores, which also cap it); it must
+be a positive integer, anything else exits with status 2.
 """
 
 from __future__ import annotations
@@ -93,19 +93,20 @@ def _cmd_brackets(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_a2(cfg: RunConfig) -> int:
-    b = cfg.bracket()
-    profile = cfg.cutoff()
-    spec = cfg.quadrature()
-    res = heat.integrate_a2(b, profile, spec)
-    rec = _stamp(cfg, {
-        "s": profile.s, "a2": res.value, "stderr": res.std_error,
+def _a2_record(cfg: RunConfig, res: heat.QuadratureResult) -> dict:
+    """The a2.jsonl record of one integration under cfg's cutoff profile."""
+    return _stamp(cfg, {
+        "s": cfg.cutoff().s, "a2": res.value, "stderr": res.std_error,
         "n_nodes": res.n_nodes, "method": res.method,
         "inside_fraction": res.inside_fraction,
         "inside_fractions": list(res.replicate_inside_fractions),
         "preflight_deviation": res.preflight_deviation,
     })
-    _write_jsonl(cfg.out_dir / "a2.jsonl", [rec])
+
+
+def _cmd_a2(cfg: RunConfig) -> int:
+    res = heat.integrate_a2(cfg.bracket(), cfg.cutoff(), cfg.quadrature())
+    _write_jsonl(cfg.out_dir / "a2.jsonl", [_a2_record(cfg, res)])
     print(f"a2 = {res.value:.6e} +- {res.std_error:.2e} "
           f"({res.n_nodes} nodes x {res.n_replicates} replicates, {res.wall_time:.1f}s)")
     return 0

@@ -19,7 +19,7 @@ import hashlib
 from pathlib import Path
 
 from .brackets import Bracket, bracket_from_text, builtin_bracket
-from .heat import QuadratureSpec
+from .heat import QuadratureSpec, _scale_list
 from .metric import CutoffProfile
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "DEFAULT_CONFIG_TEXT"]
@@ -168,7 +168,7 @@ class RunConfig:
         )
 
     def s_list(self) -> list[float]:
-        return [float(tok) for tok in self.entries["sweep.s_list"].split(",") if tok.strip()]
+        return _scale_list(tok for tok in self.entries["sweep.s_list"].split(",") if tok.strip())
 
     @property
     def seed(self) -> int:
@@ -221,14 +221,6 @@ def parse_config(
             line=ghost["quadrature.method"][1],
             field="quadrature.method",
         )
-    try:
-        [float(tok) for tok in merged["sweep.s_list"].split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"bad s_list {merged['sweep.s_list']!r}",
-            line=ghost["sweep.s_list"][1],
-            field="sweep.s_list",
-        ) from None
 
     # the output path is not part of the run semantics: identical runs written
     # to different directories must produce identical artifact bytes
@@ -238,6 +230,14 @@ def parse_config(
     # construction-time validation (raises ConfigError on inconsistency)
     cfg.bracket()
     cfg.second_bracket()
+    try:
+        cfg.s_list()
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad s_list {merged['sweep.s_list']!r}: {exc}",
+            line=ghost["sweep.s_list"][1],
+            field="sweep.s_list",
+        ) from None
     try:
         cfg.cutoff()
     except ValueError as exc:

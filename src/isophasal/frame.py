@@ -74,6 +74,10 @@ __all__ = [
 ]
 
 R_MIN_FACTOR = 1e-6  # radii below R_MIN_FACTOR * (r-support radius) are degenerate
+_ENGINE_CHUNK = 128  # points per batch of curvature_scalars: bounds the engine's working set
+_FD_STEP = 1e-5  # step of frame_derivative's central differences
+_TINY = 1e-300  # degree_probe skips samples below this magnitude as zero
+_PART_DEGREES = (-2, -1, 0, 1, 2)  # homogeneous degrees homogeneous_parts solves for
 
 
 class DegeneratePointError(ValueError):
@@ -100,14 +104,25 @@ class CouplingCoeffs:
     arr: np.ndarray
 
 
+def _r_min(profile: CutoffProfile) -> float:
+    return R_MIN_FACTOR * profile.u_radius
+
+
 def _check_radii(profile: CutoffProfile, r: np.ndarray) -> None:
-    r_min = R_MIN_FACTOR * profile.u_radius
+    r_min = _r_min(profile)
     if np.any(r <= r_min):
         bad = float(np.min(r))
         raise DegeneratePointError(
             f"plane radius {bad:g} <= r_min {r_min:g}: polar frame degenerates; "
             "use the coordinate oracle near the axes"
         )
+
+
+def _usable_nodes(profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Mask of points inside the cutoff support with every plane radius above the frame's floor."""
+    t1 = np.sum(x * x, axis=1)
+    t2 = np.sum(r * r, axis=1)
+    return profile.inside_support(t1, t2) & np.all(r > _r_min(profile), axis=1)
 
 
 def coupling_coeffs(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> CouplingCoeffs:
@@ -146,9 +161,7 @@ def coupling_coeffs(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: 
     return CouplingCoeffs(a=a, ax=ax, ar=ar, axx=axx, axr=axr, arr=arr)
 
 
-def structure_constants(
-    cc: CouplingCoeffs, r: np.ndarray, with_derivs: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def structure_constants(cc: CouplingCoeffs, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Structure constants c[n,gamma,alpha,beta] and their (x, r)-derivatives.
 
     dc has shape (N, n, n, n, m+k) with the derivative direction last
@@ -174,9 +187,6 @@ def structure_constants(
     for q in range(k):
         c[:, mk + q, m + q, mk + q] = -inv_r[:, q]
         c[:, mk + q, mk + q, m + q] = inv_r[:, q]
-
-    if not with_derivs:
-        return c, None
 
     dc = np.zeros((npts, n, n, n, mk))
     # d/dx_l and d/dr_w of the xhat-xhat block
@@ -382,9 +392,8 @@ def curvature_scalars(
     profile: CutoffProfile,
     x: np.ndarray,
     r: np.ndarray,
-    chunk: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau, |Ric|^2, |Riem|^2) at each point, chunked to bound memory."""
+    """(tau, |Ric|^2, |Riem|^2) at each point, in batches of _ENGINE_CHUNK points to bound memory."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     _check_radii(profile, r)
@@ -392,8 +401,8 @@ def curvature_scalars(
     tau = np.empty(npts)
     ric2 = np.empty(npts)
     riem2 = np.empty(npts)
-    for lo in range(0, npts, chunk):
-        hi = min(lo + chunk, npts)
+    for lo in range(0, npts, _ENGINE_CHUNK):
+        hi = min(lo + _ENGINE_CHUNK, npts)
         cc = coupling_coeffs(bracket, profile, x[lo:hi], r[lo:hi])
         c, dc = structure_constants(cc, r[lo:hi])
         R, Ric, tau[lo:hi] = curvature(christoffels(c), c, dc)
@@ -406,7 +415,6 @@ def a2_integrand(
     profile: CutoffProfile,
     x: np.ndarray,
     r: np.ndarray,
-    chunk: int = 256,
 ) -> np.ndarray:
     """The a2 density (see a2_density) pointwise.
 
@@ -421,7 +429,7 @@ def a2_integrand(
     inside = profile.inside_support(t1, t2)
     out = np.zeros(x.shape[0])
     if np.any(inside):
-        tau, ric2, riem2 = curvature_scalars(bracket, profile, x[inside], r[inside], chunk=chunk)
+        tau, ric2, riem2 = curvature_scalars(bracket, profile, x[inside], r[inside])
         out[inside] = a2_density(bracket.m + 2 * bracket.k, tau, ric2, riem2)
     return out
 
@@ -457,15 +465,14 @@ def frame_derivative(
     r: np.ndarray,
     m: int,
     k: int,
-    h: float = 1e-5,
 ):
     """E_delta applied to a theta-independent scalar quantity of (x, r).
 
     For delta in the xhat range this is d/dx_delta (the angular part of xhat
     contributes nothing to theta-independent quantities), for the rhat range
     d/dr, and for the that range identically zero.  Central differences of
-    order four; the engine's own Gamma derivatives are analytic and this
-    helper exists to cross-check them and to probe ad-hoc quantities.
+    order four, step _FD_STEP; the engine's own Gamma derivatives are analytic
+    and this helper exists to cross-check them and to probe ad-hoc quantities.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -479,6 +486,7 @@ def frame_derivative(
         rs = r.copy()
         rs[delta - m] += t
         return evaluator(x, rs)
+    h = _FD_STEP
     f2p, f1p, f1m, f2m = shifted(2 * h), shifted(h), shifted(-h), shifted(-2 * h)
     return (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
 
@@ -488,7 +496,6 @@ def degree_probe(
     x: np.ndarray,
     r: np.ndarray,
     s_list: Sequence[float],
-    tiny: float = 1e-300,
 ) -> tuple[float, float]:
     """Estimate d with f^s(x, r) = s^d f^1(x, s r) by a log-log least-squares fit.
 
@@ -502,7 +509,7 @@ def degree_probe(
     for s in s_list:
         fs = family(float(s), x, r)
         f1 = family(1.0, x, s * r)
-        if abs(f1) < tiny or abs(fs) < tiny:
+        if abs(f1) < _TINY or abs(fs) < _TINY:
             continue
         logs.append(math.log(float(s)))
         vals.append(math.log(abs(fs)) - math.log(abs(f1)))
@@ -518,25 +525,21 @@ def homogeneous_parts(
     family: Callable[[float, np.ndarray, np.ndarray], float],
     x: np.ndarray,
     r: np.ndarray,
-    degrees: Sequence[int] = (-2, -1, 0, 1, 2),
-    s_list: Sequence[float] | None = None,
 ) -> dict[int, float]:
-    """Split a finite scaling family into homogeneous parts evaluated at (x, r).
+    """Split a finite scaling family into its homogeneous parts of degree -2..2 at (x, r).
 
     If f^s = sum_d f_d^s with f_d^s(x, r) = s^d f_d^1(x, s r), then
     F(s) := f^s(x, r/s) = sum_d s^d f_d^1(x, r): a polynomial in s whose
     coefficients are exactly the homogeneous parts at scale one.  Solved by
-    least squares on a small Vandermonde system.
+    least squares on a small Vandermonde system over the scales 1, 1.25, 1.5, ...
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
-    if s_list is None:
-        s_list = [1.0 + 0.25 * j for j in range(2 * len(degrees))]
-    svals = np.asarray(s_list, dtype=float)
+    svals = 1.0 + 0.25 * np.arange(2 * len(_PART_DEGREES))
     F = np.array([family(float(s), x, r / s) for s in svals])
-    V = np.stack([svals**d for d in degrees], axis=1)
+    V = np.stack([svals**d for d in _PART_DEGREES], axis=1)
     coef, *_ = np.linalg.lstsq(V, F, rcond=None)
-    return {d: float(c) for d, c in zip(degrees, coef)}
+    return {d: float(c) for d, c in zip(_PART_DEGREES, coef)}
 
 
 def degree_one_reference(

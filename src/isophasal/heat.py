@@ -14,7 +14,7 @@ curvature scalar theta-invariant.  Low-discrepancy sampling with per-replicate
 scrambling gives both fast convergence and an honest replicate-spread error
 estimate.  Node evaluation is embarrassingly parallel; the reduction is a
 fixed-order pairwise sum over node index, so results are bit-identical for
-any worker count.
+any worker count, which resolve_workers alone decides.
 
 Pool workers run under a fixed glibc allocator policy: an mmap threshold of
 32 MiB and a trim threshold of 256 MiB, both static.  Under glibc's default
@@ -24,9 +24,9 @@ in system time.  The policy is set only in the worker processes this module
 forks and ends; the caller's process, and batches it evaluates itself, keep
 the default.  The arithmetic is the same either way.
 
-The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over the degree
-window d in {2, 1, 0, -1, -2}; the leading coefficient (exponent 2 - 2k)
-must come out positive for this metric family with k <= 3.
+The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over SWEEP_DEGREES,
+on finite positive scales (at least five distinct, spanning at least 4x); the
+leading coefficient (exponent 2 - 2k) must come out positive for k <= 3.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ SWEEP_DEGREES = (2, 1, 0, -1, -2)
 THETA_EQUIVARIANCE_TOL = 1e-12
 _PREFLIGHT_POINTS = 256
 _PREFLIGHT_SEED = 2024
-_ENGINE_CHUNK = 128  # points per curvature-engine batch
 _TASK_CHUNK = 4096  # nodes handed to one worker task (fixed: determinism)
+_CONSISTENCY_SIGMAS = 3.0  # isophasal_consistency's bound on |difference| / combined error
 
 
 class ThetaDependenceError(AssertionError):
@@ -110,13 +110,12 @@ class WorkerCountError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: method in {'qmc', 'mc', 'tensor_gauss'}, nodes, replicates, seed."""
+    """How to integrate: method in {'qmc', 'mc', 'tensor_gauss'}, nodes, replicates, seed, preflight."""
 
     n_nodes: int = 100_000
     n_replicates: int = 8
     seed: int = 0
     method: str = "qmc"
-    workers: int | None = None  # None -> ISOPHASAL_THREADS or the available cores
     preflight: bool = True
 
     def __post_init__(self):
@@ -143,15 +142,13 @@ class QuadratureResult:
     preflight_deviation: float | None  # preflight_theta_invariance's value; None when off
 
 
-def resolve_workers(requested: int | None) -> int:
-    """Worker processes: requested, else ISOPHASAL_THREADS, else the available cores.
+def resolve_workers() -> int:
+    """Worker processes: ISOPHASAL_THREADS, else the available cores.
 
     ISOPHASAL_THREADS must be a positive integer (an empty value counts as
-    unset); it and the default are capped at the cores this process may run
-    on.  Results do not depend on the count, so the cap changes no output.
+    unset); it is capped at the cores this process may run on.  Results do
+    not depend on the count, so the cap changes no output.
     """
-    if requested is not None:
-        return max(1, int(requested))
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
@@ -182,14 +179,6 @@ def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
     return rng.uniform(size=(spec.n_nodes, dim))
 
 
-def _usable_nodes(profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Mask of nodes inside the cutoff support with every plane radius above the frame's floor."""
-    t1 = np.sum(x * x, axis=1)
-    t2 = np.sum(r * r, axis=1)
-    r_min = frame.R_MIN_FACTOR * profile.u_radius
-    return profile.inside_support(t1, t2) & np.all(r > r_min, axis=1)
-
-
 def _eval_contributions(
     bracket: Bracket,
     profile: CutoffProfile,
@@ -198,12 +187,10 @@ def _eval_contributions(
 ) -> tuple[np.ndarray, int]:
     """Per-node weighted integrand (exact zeros off the cutoff support) and the usable-node count."""
     k = bracket.k
-    keep = _usable_nodes(profile, x, r)
+    keep = frame._usable_nodes(profile, x, r)
     out = np.zeros(x.shape[0])
     if np.any(keep):
-        tau, ric2, riem2 = frame.curvature_scalars(
-            bracket, profile, x[keep], r[keep], chunk=_ENGINE_CHUNK
-        )
+        tau, ric2, riem2 = frame.curvature_scalars(bracket, profile, x[keep], r[keep])
         dens = frame.a2_density(bracket.m + 2 * k, tau, ric2, riem2)
         out[keep] = dens * (2.0 * math.pi) ** k * np.prod(r[keep], axis=1)
     return out, int(np.count_nonzero(keep))
@@ -345,7 +332,7 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     m, k = bracket.m, bracket.k
     rx = profile.x_radius
     rr = profile.u_radius
-    workers = resolve_workers(spec.workers)
+    workers = resolve_workers()
     deviation = preflight_theta_invariance(bracket, profile) if spec.preflight else None
 
     if spec.method == "tensor_gauss":
@@ -394,9 +381,21 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     )
 
 
-def sweep_exponents(k: int, degrees: Sequence[int] = SWEEP_DEGREES) -> tuple[int, ...]:
-    """Exponents d - 2k of the scale expansion; the first entry is the leading one."""
-    return tuple(d - 2 * k for d in degrees)
+def sweep_exponents(k: int) -> tuple[int, ...]:
+    """Exponents d - 2k of the scale expansion over SWEEP_DEGREES; the first entry is the leading one."""
+    return tuple(d - 2 * k for d in SWEEP_DEGREES)
+
+
+def _scale_list(s_list: Sequence[float]) -> list[float]:
+    """The sweep's scales as floats; ValueError unless they obey the rule in the module docstring."""
+    s_arr = [float(s) for s in s_list]
+    if not all(math.isfinite(s) and s > 0.0 for s in s_arr):
+        raise ValueError(f"scale values must be finite and positive, got {s_arr}")
+    if len(set(s_arr)) < len(SWEEP_DEGREES):
+        raise ValueError(f"need at least {len(SWEEP_DEGREES)} distinct scale values, got {s_arr}")
+    if max(s_arr) / min(s_arr) < 4.0:
+        raise ValueError(f"scale values should span at least a factor of 4, got {s_arr}")
+    return s_arr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -424,9 +423,8 @@ def fit_sweep(
     a2_values: Sequence[float],
     std_errors: Sequence[float],
     k: int,
-    degrees: Sequence[int] = SWEEP_DEGREES,
 ) -> SweepResult:
-    """Weighted least squares of a2(s) on the exponent ladder s^(d-2k).
+    """Weighted least squares of a2(s) on the exponent ladder s^(d-2k), d in SWEEP_DEGREES.
 
     Columns are normalized before solving; the coefficient covariance
     (X^T W X)^{-1} supplies the uncertainty of the leading coefficient even
@@ -437,10 +435,10 @@ def fit_sweep(
     s = np.asarray(s_values, dtype=float)
     y = np.asarray(a2_values, dtype=float)
     sig = np.asarray(std_errors, dtype=float)
-    if len(s) < len(degrees):
-        raise ValueError(f"need at least {len(degrees)} scale values, got {len(s)}")
+    if len(s) < len(SWEEP_DEGREES):
+        raise ValueError(f"need at least {len(SWEEP_DEGREES)} scale values, got {len(s)}")
     sig = np.where(sig > 0, sig, max(1e-12 * np.max(np.abs(y)), 1e-300))
-    expo = sweep_exponents(k, degrees)
+    expo = sweep_exponents(k)
     X = np.stack([s**e for e in expo], axis=1)
     col_scale = np.linalg.norm(X, axis=0)
     Xs = X / col_scale
@@ -481,13 +479,9 @@ def sweep_s(
     The r-box tracks the shrinking support (radius sqrt(r2sq)/s), so the
     effective node density in the support is scale independent.  With
     spec.preflight set, each scaled profile is certified before it is
-    integrated, since each is a different metric.
+    integrated, since each is a different metric.  Bad scales raise ValueError first.
     """
-    s_arr = [float(s) for s in s_list]
-    if len(set(s_arr)) < 5:
-        raise ValueError("need at least 5 distinct scale values")
-    if max(s_arr) / min(s_arr) < 4.0:
-        raise ValueError("scale values should span at least a factor of 4")
+    s_arr = _scale_list(s_list)
     results = [integrate_a2(bracket, profile.scaled(s), spec) for s in s_arr]
     fit = fit_sweep(s_arr, [r.value for r in results], [r.std_error for r in results], bracket.k)
     return dataclasses.replace(fit, preflight_deviations=tuple(r.preflight_deviation for r in results))
@@ -508,9 +502,8 @@ def isophasal_consistency(
     b2: Bracket,
     profile: CutoffProfile,
     spec: QuadratureSpec,
-    n_sigma: float = 3.0,
 ) -> ConsistencyReport:
-    """Equal-heat-invariant check for an isospectral bracket pair under one profile."""
+    """Equal-heat-invariant check for an isospectral bracket pair under one profile, at 3 sigma."""
     rep = check_isospectral(b1, b2)
     if not rep.isospectral:
         raise ValueError(f"brackets are not isospectral (max spectral deviation {rep.max_deviation:g})")
@@ -521,5 +514,5 @@ def isophasal_consistency(
     within = abs(diff) / comb if comb > 0 else math.inf if diff else 0.0
     return ConsistencyReport(
         a2_first=r1, a2_second=r2, difference=diff, combined_error=comb,
-        within=within, consistent=abs(diff) <= n_sigma * comb,
+        within=within, consistent=abs(diff) <= _CONSISTENCY_SIGMAS * comb,
     )

@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _POINT_CHUNK = 512  # Laplacian points per batch
+_LIVE_RTOL = 1e-9  # a mode is live where |coefficient| exceeds this fraction of the point's largest
+_TAIL_FIBERS = 3  # fibers on which the truncation tail is measured
 
 
 def _monomial(z: np.ndarray, powers: Sequence[int]):
@@ -192,24 +194,21 @@ def mode_vectors(N: int, k: int) -> list[tuple[int, ...]]:
 class FourierField:
     """Angular-mode decomposition of a function given as a Cartesian evaluator.
 
-    Coefficients are trapezoid sums on a uniform torus grid, exact on
-    trigonometric polynomials of degree up to (grid_size - 1) / 2 per angle,
-    all taken at once by one np.fft.fftn over the angle axes: the coefficient
-    of Z is spectrum[Z mod grid_size] / grid_size^k.  Fiber arguments are
-    x (m,) and r (k,), or batches x (P, m) and r (P, k) whose fibers are all
-    evaluated in one call of f; batched calls return one coefficient per fiber.
+    Coefficients are trapezoid sums on a uniform torus grid of
+    grid_size = 2N + 1 points per angle, exact on trigonometric polynomials
+    of degree up to N per angle, all taken at once by one np.fft.fftn over
+    the angle axes: the coefficient of Z is spectrum[Z mod grid_size] /
+    grid_size^k.  Fiber arguments are x (m,) and r (k,), or batches x (P, m)
+    and r (P, k) whose fibers are all evaluated in one call of f; batched
+    calls return one coefficient per fiber.
     """
 
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], N: int, k: int, grid_size: int | None = None):
-        if grid_size is None:
-            grid_size = 2 * N + 1
-        if grid_size < 2 * N + 1:
-            raise ValueError(f"grid_size {grid_size} < 2N+1 = {2 * N + 1}")
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], N: int, k: int):
         self.f = f
         self.N = N
         self.k = k
-        self.grid_size = grid_size
-        grid_1d = 2.0 * math.pi * np.arange(grid_size) / grid_size
+        self.grid_size = 2 * N + 1
+        grid_1d = 2.0 * math.pi * np.arange(self.grid_size) / self.grid_size
         mesh = np.meshgrid(*([grid_1d] * k), indexing="ij")
         self.sigma = np.stack([g.ravel() for g in mesh], axis=1)  # (G, k)
 
@@ -256,7 +255,7 @@ class FourierField:
 
 
 def build_conjugators(
-    b1: Bracket, b2: Bracket, N: int, tol: float = 1e-10, strict: bool = True
+    b1: Bracket, b2: Bracket, N: int, strict: bool = True
 ) -> dict[tuple[int, ...], ConjugatorReport]:
     """Orthogonal A_Z with their residuals for every |Z|_inf <= N; A_0 is the identity.
 
@@ -273,7 +272,7 @@ def build_conjugators(
         if all(z == 0 for z in Z):
             out[Z] = ConjugatorReport(A=np.eye(b1.m), residual_conj=0.0, residual_orth=0.0)
         else:
-            out[Z] = conjugator(b2, b1, np.asarray(Z, dtype=float), tol=tol, require_match=strict)
+            out[Z] = conjugator(b2, b1, np.asarray(Z, dtype=float), require_match=strict)
     return out
 
 
@@ -367,15 +366,13 @@ def _q_transported_laplacian(
     theta_pts: np.ndarray,
     N: int,
     conjugators: dict[tuple[int, ...], ConjugatorReport],
-    coef_rtol: float = 1e-9,
-    tail_samples: int = 3,
 ) -> tuple[np.ndarray, float]:
     """Q(Delta_{g2} f) at polar points, re-decomposing Delta_{g2} f over theta.
 
     Three batched Laplacian evaluations: every point's fiber, then the rotated
-    fiber (A_Z x, r) of every live mode Z (|coefficient| above coef_rtol of
+    fiber (A_Z x, r) of every live mode Z (|coefficient| above _LIVE_RTOL of
     the point's largest), then a band widened by two on the first
-    tail_samples fibers.  Returns the transported values and the relative
+    _TAIL_FIBERS fibers.  Returns the transported values and the relative
     truncation tail, the coefficient mass beyond N on the widened band.
     """
     h_eval = lambda q: laplacian(b2, profile, f, q)
@@ -383,7 +380,7 @@ def _q_transported_laplacian(
     coefs = field.coefficients_all(x_pts, r_pts)
     modes = list(coefs)
     C = np.abs(np.stack([coefs[Z] for Z in modes], axis=1))  # (P, modes)
-    floor = coef_rtol * np.maximum(np.max(C, axis=1), 1e-300)
+    floor = _LIVE_RTOL * np.maximum(np.max(C, axis=1), 1e-300)
     live_pt, live_mode = np.nonzero(C > floor[:, None])
     out = np.zeros(x_pts.shape[0], dtype=complex)
     if live_pt.size:
@@ -394,7 +391,7 @@ def _q_transported_laplacian(
         phase = np.exp(1j * np.einsum("lp,lp->l", Zs, theta_pts[live_pt]))
         np.add.at(out, live_pt, c_rot * phase)
     wide = FourierField(h_eval, N + 2, b2.k)
-    n_tail = min(tail_samples, x_pts.shape[0])
+    n_tail = min(_TAIL_FIBERS, x_pts.shape[0])
     wide_coefs = wide.coefficients_all(x_pts[:n_tail], r_pts[:n_tail])
     total = sum(np.abs(c) for c in wide_coefs.values())
     beyond = sum(np.abs(c) for Z, c in wide_coefs.items() if max(abs(z) for z in Z) > N)

@@ -158,7 +158,7 @@ def test_conjugator_triple(cross1, cross2, quaternion, rng):
     Zs = [np.array([1.0, 0.0, 0.0])] + [rng.normal(size=3) for _ in range(10)]
     for b1, b2 in pairs:
         for Z in Zs:
-            rep = conjugator(b1, b2, Z, tol=1e-10)
+            rep = conjugator(b1, b2, Z)
             assert rep.residual_conj <= 1e-9
             assert rep.residual_orth <= 1e-12
 

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from isophasal.cli import main
 from isophasal.config import ConfigError, load_config, parse_config
 
 FAST_QUAD = "quadrature.nodes = 2048\nquadrature.replicates = 3\nquadrature.preflight = false\n"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def read_jsonl(path):
@@ -137,7 +140,7 @@ def test_cli_intertwine(tmp_path):
     for key in ("pair", "N", "n_points", "max_residual", "truncation_tail", "residual_conj", "residual_orth"):
         assert key in rec
     assert rec["max_residual"] <= 1e-4
-    # build_conjugators' default tol
+    # the conjugators' spectrum tolerance
     assert 0.0 < rec["residual_conj"] <= 1e-10
     assert 0.0 < rec["residual_orth"] <= 1e-10
 
@@ -157,6 +160,32 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = main(["a2", "--config", str(cfg)])
     assert rc == 2
     assert "cutoff.r1sq" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_list", ["1,2,3", "1,2,nan,8,16", "0,1,2,4,8"])
+def test_cli_bad_scale_list_exit_code(tmp_path, capsys, s_list):
+    # too few scales, a non-finite scale, a zero scale: configuration errors, not crashes
+    rc = main(["sweep", "--s-list", s_list, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "sweep.s_list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reproduce_all_a2_records_match_cli(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_QUAD)
+    assert main(["a2", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
+    (cli_rec,) = read_jsonl(tmp_path / "cli" / "a2.jsonl")
+    spec = importlib.util.spec_from_file_location("reproduce_all", SCRIPTS / "reproduce_all.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.run(["--fast", "--out", str(tmp_path / "script")])
+    records = read_jsonl(tmp_path / "script" / "a2.jsonl")
+    assert [r["bracket"] for r in records] == ["cross1", "cross2", "quaternion"]
+    for rec in records:
+        assert set(rec) == set(cli_rec) | {"bracket"}
+        assert rec["method"] == "qmc" and len(rec["inside_fractions"]) == 4  # --fast: 4 replicates
+        assert rec["preflight_deviation"] < 1e-12  # the script runs the preflight
 
 
 def test_cli_missing_config_file():

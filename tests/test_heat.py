@@ -26,7 +26,23 @@ from isophasal.heat import (
     sweep_s,
 )
 
-SMALL = QuadratureSpec(n_nodes=4096, n_replicates=3, seed=0, preflight=False, workers=1)
+SMALL = QuadratureSpec(n_nodes=4096, n_replicates=3, seed=0, preflight=False)
+
+
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    """Every integration here runs in process unless a test asks for more workers."""
+    monkeypatch.setenv("ISOPHASAL_THREADS", "1")
+
+
+def _two_core_runs(monkeypatch, bracket, profile, spec):
+    """integrate_a2 at ISOPHASAL_THREADS=1, then =2 on two available cores."""
+    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ISOPHASAL_THREADS", threads)
+        results.append(integrate_a2(bracket, profile, spec))
+    return results
 
 
 def test_spec_validation():
@@ -68,11 +84,10 @@ def _same_result(r1, r2):
     assert r1.replicate_inside_fractions == r2.replicate_inside_fractions
 
 
-def test_worker_count_invariance(cross1, reference_profile, opened_pools):
+def test_worker_count_invariance(cross1, reference_profile, monkeypatch, opened_pools):
     # three pool tasks per replicate, the last one short
-    base = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808)
-    r1 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=1))
-    r2 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=2))
+    spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808)
+    r1, r2 = _two_core_runs(monkeypatch, cross1, reference_profile, spec)
     assert opened_pools == [2]
     _same_result(r1, r2)
 
@@ -83,19 +98,25 @@ def _support_points(profile, n, seed=0):
     box = rng.uniform(size=(40 * n, 9))
     x = (2.0 * box[:, :6] - 1.0) * profile.x_radius
     r = box[:, 6:] * profile.u_radius
-    keep = heat._usable_nodes(profile, x, r)
+    keep = frame._usable_nodes(profile, x, r)
     assert np.count_nonzero(keep) >= n
     return x[keep][:n], r[keep][:n]
 
 
 def _engine_minor_faults(args):
-    """Minor page faults of three engine passes over the points after a warm-up pass."""
+    """Minor page faults of three engine passes over the points after two warm-up passes.
+
+    The pass after the first warm-up still faults in part of the heap (up to
+    a few hundred pages, more when the parent's heap was fragmented); after
+    the second the heap has settled.
+    """
     tensor, profile, x, r = args
     bracket = Bracket(tensor)
-    frame.curvature_scalars(bracket, profile, x, r, chunk=heat._ENGINE_CHUNK)
+    for _ in range(2):
+        frame.curvature_scalars(bracket, profile, x, r)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        frame.curvature_scalars(bracket, profile, x, r, chunk=heat._ENGINE_CHUNK)
+        frame.curvature_scalars(bracket, profile, x, r)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
@@ -124,9 +145,8 @@ def _unloadable_libc(name):
 def test_pool_without_allocator_policy(cross1, reference_profile, monkeypatch, opened_pools, libc):
     monkeypatch.setattr(ctypes, "CDLL", libc)  # inherited by the forked workers
     assert heat._worker_malloc_policy() is None  # returns instead of raising
-    base = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK)
-    r1 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=1))
-    r2 = integrate_a2(cross1, reference_profile, dataclasses.replace(base, workers=2))
+    spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK)
+    r1, r2 = _two_core_runs(monkeypatch, cross1, reference_profile, spec)
     assert opened_pools == [2]
     _same_result(r1, r2)
     assert multiprocessing.active_children() == []
@@ -136,18 +156,17 @@ def test_resolve_workers(monkeypatch):
     # only counts are computed here; no pool is started
     monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.delenv("ISOPHASAL_THREADS", raising=False)
-    assert resolve_workers(None) == 3
-    assert resolve_workers(5) == 5  # an explicit request is taken as given
+    assert resolve_workers() == 3
     for env, want in (("", 3), ("1", 1), ("2", 2), (" 3 ", 3), ("4", 3), ("1000000", 3)):
         monkeypatch.setenv("ISOPHASAL_THREADS", env)
-        assert resolve_workers(None) == want
+        assert resolve_workers() == want
 
 
 @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5", "2x"])
 def test_resolve_workers_rejects_bad_env(monkeypatch, env):
     monkeypatch.setenv("ISOPHASAL_THREADS", env)
     with pytest.raises(WorkerCountError, match="ISOPHASAL_THREADS"):
-        resolve_workers(None)
+        resolve_workers()
 
 
 def test_inside_fraction_matches_volume(cross1, reference_profile):
@@ -184,7 +203,7 @@ def test_tensor_gauss_agrees(cross1, reference_profile):
     ref = integrate_a2(cross1, reference_profile, dataclasses.replace(SMALL, n_nodes=16384, n_replicates=4))
     tg = integrate_a2(cross1, reference_profile,
                       QuadratureSpec(n_nodes=5**9, n_replicates=1, method="tensor_gauss",
-                                     preflight=False, workers=1))
+                                     preflight=False))
     assert tg.std_error == 0.0
     # tensor Gauss converges slowly on a flat-topped compactly supported
     # integrand; at 5 points per axis it is a coarse cross-check only
@@ -270,7 +289,7 @@ def test_sweep_certifies_each_scale(cross1, reference_profile, monkeypatch):
 def test_degenerate_nodes_error(cross1, reference_profile):
     # only ~4% of box nodes land on the support: a tiny node budget misses it
     # entirely (seed frozen) and must fail loudly instead of reporting zero
-    spec = QuadratureSpec(n_nodes=4, n_replicates=2, seed=0, preflight=False, workers=1)
+    spec = QuadratureSpec(n_nodes=4, n_replicates=2, seed=0, preflight=False)
     with pytest.raises(DegenerateNodesError):
         integrate_a2(cross1, reference_profile, spec)
 
@@ -316,10 +335,17 @@ def test_fit_sweep_ill_conditioned():
 
 
 def test_sweep_s_validation(cross1, reference_profile):
-    with pytest.raises(ValueError):
-        sweep_s(cross1, reference_profile, [1.0, 2.0, 3.0, 4.0], SMALL)  # span < 4x... and 4 values
-    with pytest.raises(ValueError):
-        sweep_s(cross1, reference_profile, [1.0, 1.1, 1.2, 1.3, 1.4], SMALL)
+    for s_list in (
+        [1.0, 2.0, 3.0, 4.0],  # span < 4x and only 4 values
+        [1.0, 1.1, 1.2, 1.3, 1.4],  # span < 4x
+        [1.0, 2.0, 3.0],
+        [1.0, 2.0, math.nan, 8.0, 16.0],
+        [0.0, 1.0, 2.0, 4.0, 8.0],  # a zero scale used to divide by zero
+        [-1.0, 1.0, 2.0, 4.0, 8.0],
+        [1.0, 2.0, 4.0, 8.0, math.inf],
+    ):
+        with pytest.raises(ValueError, match="scale values"):
+            sweep_s(cross1, reference_profile, s_list, SMALL)
 
 
 def test_sweep_s_small_run(cross1, reference_profile):
