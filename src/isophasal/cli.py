@@ -97,7 +97,7 @@ def _a2_record(cfg: RunConfig, res: heat.QuadratureResult) -> dict:
     """The a2.jsonl record of one integration under cfg's cutoff profile."""
     return _stamp(cfg, {
         "s": cfg.cutoff().s, "a2": res.value, "stderr": res.std_error,
-        "n_nodes": res.n_nodes, "method": res.method,
+        "n_nodes": res.n_nodes,
         "inside_fraction": res.inside_fraction,
         "inside_fractions": list(res.replicate_inside_fractions),
         "preflight_deviation": res.preflight_deviation,

@@ -48,7 +48,6 @@ _DEFAULTS: dict[str, str] = {
     "cutoff.r2sq": "1.0",
     "cutoff.amplitude": "1.0",
     "cutoff.s": "1.0",
-    "quadrature.method": "qmc",
     "quadrature.nodes": "100000",
     "quadrature.replicates": "8",
     "quadrature.seed": "0",
@@ -163,7 +162,6 @@ class RunConfig:
             n_nodes=int(self.entries["quadrature.nodes"]),
             n_replicates=int(self.entries["quadrature.replicates"]),
             seed=int(self.entries["quadrature.seed"]),
-            method=self.entries["quadrature.method"],
             preflight=self.entries["quadrature.preflight"] == "true",
         )
 
@@ -215,12 +213,6 @@ def parse_config(
     _get_int(ghost, "intertwine.n_functions")
     _get_bool(ghost, "quadrature.preflight")
     merged["quadrature.preflight"] = "true" if _get_bool(ghost, "quadrature.preflight") else "false"
-    if merged["quadrature.method"] not in ("qmc", "mc", "tensor_gauss"):
-        raise ConfigError(
-            f"unknown method {merged['quadrature.method']!r}",
-            line=ghost["quadrature.method"][1],
-            field="quadrature.method",
-        )
 
     # the output path is not part of the run semantics: identical runs written
     # to different directories must produce identical artifact bytes

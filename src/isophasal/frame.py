@@ -67,7 +67,6 @@ __all__ = [
     "a2_density",
     "a2_integrand",
     "frame_bundle",
-    "frame_derivative",
     "degree_probe",
     "homogeneous_parts",
     "degree_one_reference",
@@ -75,7 +74,6 @@ __all__ = [
 
 R_MIN_FACTOR = 1e-6  # radii below R_MIN_FACTOR * (r-support radius) are degenerate
 _ENGINE_CHUNK = 128  # points per batch of curvature_scalars: bounds the engine's working set
-_FD_STEP = 1e-5  # step of frame_derivative's central differences
 _TINY = 1e-300  # degree_probe skips samples below this magnitude as zero
 _PART_DEGREES = (-2, -1, 0, 1, 2)  # homogeneous degrees homogeneous_parts solves for
 
@@ -410,28 +408,43 @@ def curvature_scalars(
     return tau, ric2, riem2
 
 
+def _admitted_density(
+    bracket: Bracket,
+    profile: CutoffProfile,
+    x: np.ndarray,
+    r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The a2 density at the points _usable_nodes admits, exact zeros elsewhere, and that mask.
+
+    Only admitted points reach the engine, so a point outside the support or
+    on an axis never trips the radius guard of curvature_scalars.
+    """
+    keep = _usable_nodes(profile, x, r)
+    out = np.zeros(x.shape[0])
+    if np.any(keep):
+        tau, ric2, riem2 = curvature_scalars(bracket, profile, x[keep], r[keep])
+        out[keep] = a2_density(bracket.m + 2 * bracket.k, tau, ric2, riem2)
+    return out, keep
+
+
 def a2_integrand(
     bracket: Bracket,
     profile: CutoffProfile,
     x: np.ndarray,
     r: np.ndarray,
 ) -> np.ndarray:
-    """The a2 density (see a2_density) pointwise.
+    """The a2 density (see a2_density) pointwise, admitted as the quadrature admits nodes.
 
-    Points outside the cutoff support contribute an exact zero and skip the
-    engine entirely; the curvature is supported where phi is.
+    Points outside the cutoff support, where the curvature vanishes, and
+    points with a plane radius at or below the frame's floor contribute an
+    exact zero and skip the engine entirely.  A negative plane radius is not
+    a point of the polar chart and raises ValueError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    _check_radii(profile, r)
-    t1 = np.sum(x * x, axis=1)
-    t2 = np.sum(r * r, axis=1)
-    inside = profile.inside_support(t1, t2)
-    out = np.zeros(x.shape[0])
-    if np.any(inside):
-        tau, ric2, riem2 = curvature_scalars(bracket, profile, x[inside], r[inside])
-        out[inside] = a2_density(bracket.m + 2 * bracket.k, tau, ric2, riem2)
-    return out
+    if np.any(r < 0):
+        raise ValueError(f"plane radius {float(np.min(r)):g} < 0: radii are non-negative")
+    return _admitted_density(bracket, profile, x, r)[0]
 
 
 def frame_bundle(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> FrameCurvature:
@@ -456,39 +469,6 @@ def frame_bundle(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.
         c=c, Gamma=Gamma, dGamma=christoffel_derivs(dc), Riem=Riem, Ric=Ric,
         tau=tau, ric_sq=ric2, riem_sq=riem2, a2_integrand=a2_density(n, tau, ric2, riem2),
     )
-
-
-def frame_derivative(
-    evaluator: Callable[[np.ndarray, np.ndarray], float],
-    delta: int,
-    x: np.ndarray,
-    r: np.ndarray,
-    m: int,
-    k: int,
-):
-    """E_delta applied to a theta-independent scalar quantity of (x, r).
-
-    For delta in the xhat range this is d/dx_delta (the angular part of xhat
-    contributes nothing to theta-independent quantities), for the rhat range
-    d/dr, and for the that range identically zero.  Central differences of
-    order four, step _FD_STEP; the engine's own Gamma derivatives are analytic
-    and this helper exists to cross-check them and to probe ad-hoc quantities.
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if delta >= m + k:
-        return 0.0
-    def shifted(t: float):
-        if delta < m:
-            xs = x.copy()
-            xs[delta] += t
-            return evaluator(xs, r)
-        rs = r.copy()
-        rs[delta - m] += t
-        return evaluator(x, rs)
-    h = _FD_STEP
-    f2p, f1p, f1m, f2m = shifted(2 * h), shifted(h), shifted(-h), shifted(-2 * h)
-    return (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
 
 
 def degree_probe(

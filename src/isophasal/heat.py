@@ -10,11 +10,15 @@ integrated out exactly: nodes live in the (x, r) box with weight
 (2 pi)^k * prod_p r_p.  Before trusting that reduction, a preflight certifies
 that the torus acts by isometries: the metric must satisfy
 G(x, R_theta u) = D_theta G(x, u) D_theta^T to rounding, which makes every
-curvature scalar theta-invariant.  Low-discrepancy sampling with per-replicate
-scrambling gives both fast convergence and an honest replicate-spread error
-estimate.  Node evaluation is embarrassingly parallel; the reduction is a
-fixed-order pairwise sum over node index, so results are bit-identical for
-any worker count, which resolve_workers alone decides.
+curvature scalar theta-invariant.  The nodes are Owen-scrambled Sobol' points,
+scrambled afresh per replicate, which gives both fast convergence and an
+honest replicate-spread error estimate; it is the only sampler.  A node counts
+only where frame._usable_nodes admits it (inside the cutoff support, every
+plane radius above the frame's floor); the others contribute an exact zero,
+the same rule as frame.a2_integrand.  Node evaluation is embarrassingly
+parallel; the reduction is a fixed-order pairwise sum over node index, so
+results are bit-identical for any worker count, which resolve_workers alone
+decides.
 
 Pool workers run under a fixed glibc allocator policy: an mmap threshold of
 32 MiB and a trim threshold of 256 MiB, both static.  Under glibc's default
@@ -110,20 +114,17 @@ class WorkerCountError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: method in {'qmc', 'mc', 'tensor_gauss'}, nodes, replicates, seed, preflight."""
+    """How to integrate: scrambled-Sobol' nodes per replicate, replicates, seed, preflight."""
 
     n_nodes: int = 100_000
     n_replicates: int = 8
     seed: int = 0
-    method: str = "qmc"
     preflight: bool = True
 
     def __post_init__(self):
-        if self.method not in ("qmc", "mc", "tensor_gauss"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be positive")
-        if self.n_replicates < 2 and self.method != "tensor_gauss":
+        if self.n_replicates < 2:
             raise ValueError("need n_replicates >= 2 for an error estimate")
 
 
@@ -134,7 +135,6 @@ class QuadratureResult:
     n_nodes: int
     n_replicates: int
     seed: int
-    method: str
     inside_fraction: float  # mean of replicate_inside_fractions
     wall_time: float
     replicate_values: tuple[float, ...]
@@ -166,17 +166,14 @@ def resolve_workers() -> int:
 
 
 def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
-    """Unit-box nodes for one replicate; scrambled low-discrepancy or plain MC."""
+    """Unit-box nodes for one replicate: Owen-scrambled Sobol' points, seeded by (seed, replicate)."""
     rng = np.random.default_rng([spec.seed, replicate])
-    if spec.method == "qmc":
-        with warnings.catch_warnings():
-            # n_nodes need not be a power of two
-            warnings.filterwarnings(
-                "ignore", message="The balance properties of Sobol' points", category=UserWarning
-            )
-            sob = qmc.Sobol(d=dim, scramble=True, seed=rng)
-            return sob.random(spec.n_nodes)
-    return rng.uniform(size=(spec.n_nodes, dim))
+    with warnings.catch_warnings():
+        # n_nodes need not be a power of two
+        warnings.filterwarnings(
+            "ignore", message="The balance properties of Sobol' points", category=UserWarning
+        )
+        return qmc.Sobol(d=dim, scramble=True, seed=rng).random(spec.n_nodes)
 
 
 def _eval_contributions(
@@ -185,15 +182,10 @@ def _eval_contributions(
     x: np.ndarray,
     r: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Per-node weighted integrand (exact zeros off the cutoff support) and the usable-node count."""
-    k = bracket.k
-    keep = frame._usable_nodes(profile, x, r)
-    out = np.zeros(x.shape[0])
-    if np.any(keep):
-        tau, ric2, riem2 = frame.curvature_scalars(bracket, profile, x[keep], r[keep])
-        dens = frame.a2_density(bracket.m + 2 * k, tau, ric2, riem2)
-        out[keep] = dens * (2.0 * math.pi) ** k * np.prod(r[keep], axis=1)
-    return out, int(np.count_nonzero(keep))
+    """Per-node weighted integrand (exact zeros at nodes not admitted) and the admitted-node count."""
+    dens, keep = frame._admitted_density(bracket, profile, x, r)
+    dens[keep] = dens[keep] * (2.0 * math.pi) ** bracket.k * np.prod(r[keep], axis=1)
+    return dens, int(np.count_nonzero(keep))
 
 
 def _eval_task(args) -> tuple[int, np.ndarray, int]:
@@ -311,21 +303,6 @@ def preflight_theta_invariance(bracket: Bracket, profile: CutoffProfile) -> floa
     return worst
 
 
-def _tensor_gauss_nodes(n_target: int, m: int, k: int, rx: float, rr: float):
-    dim = m + k
-    q = max(2, int(round(n_target ** (1.0 / dim))))
-    nodes_1d, w_1d = np.polynomial.legendre.leggauss(q)
-    grids = np.meshgrid(*([nodes_1d] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wts = np.array([1.0])
-    for _ in range(dim):
-        wts = np.multiply.outer(wts, w_1d).ravel()
-    x = pts[:, :m] * rx                       # [-1,1] -> [-rx, rx]
-    r = (pts[:, m:] + 1.0) * 0.5 * rr         # [-1,1] -> [0, rr]
-    wts *= rx**m * (0.5 * rr) ** k            # Jacobians of both maps
-    return x, r, wts
-
-
 def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec) -> QuadratureResult:
     """a2(g) over the support box with the angular factor integrated out exactly."""
     t_start = time.perf_counter()
@@ -334,21 +311,6 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     rr = profile.u_radius
     workers = resolve_workers()
     deviation = preflight_theta_invariance(bracket, profile) if spec.preflight else None
-
-    if spec.method == "tensor_gauss":
-        x, r, wts = _tensor_gauss_nodes(spec.n_nodes, m, k, rx, rr)
-        with _node_pool(bracket, x.shape[0], workers) as pool:
-            contrib, usable = _contributions_parallel(bracket, profile, x, r, pool)
-        inside = usable / x.shape[0]
-        if inside == 0.0:
-            raise DegenerateNodesError("no tensor-product nodes hit the integrand support")
-        value = float(np.sum(wts * contrib))
-        return QuadratureResult(
-            value=value, std_error=0.0, n_nodes=x.shape[0], n_replicates=1,
-            seed=spec.seed, method=spec.method, inside_fraction=inside,
-            wall_time=time.perf_counter() - t_start, replicate_values=(value,),
-            replicate_inside_fractions=(inside,), preflight_deviation=deviation,
-        )
 
     vol_box = (2.0 * rx) ** m * rr**k
     rep_values = []
@@ -372,7 +334,6 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
         n_nodes=spec.n_nodes,
         n_replicates=spec.n_replicates,
         seed=spec.seed,
-        method=spec.method,
         inside_fraction=float(np.mean(inside_fracs)),
         wall_time=time.perf_counter() - t_start,
         replicate_values=tuple(float(v) for v in rep_values),

@@ -18,6 +18,13 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 # --- config -------------------------------------------------------------------
 
 def test_defaults_parse():
@@ -29,10 +36,12 @@ def test_defaults_parse():
 
 
 def test_parse_unknown_key_has_line():
-    with pytest.raises(ConfigError) as err:
-        parse_config("cutoff.r1sq = 1.0\nbogus.key = 3\n")
-    assert err.value.line == 2
-    assert "bogus.key" in str(err.value)
+    for key in ("bogus.key", "quadrature.method"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"cutoff.r1sq = 1.0\n{key} = qmc\n")
+        assert err.value.line == 2
+        assert err.value.field == key
+        assert key in str(err.value)
 
 
 def test_parse_bad_value_has_line_and_field():
@@ -176,16 +185,23 @@ def test_reproduce_all_a2_records_match_cli(tmp_path):
     cfg.write_text(FAST_QUAD)
     assert main(["a2", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
     (cli_rec,) = read_jsonl(tmp_path / "cli" / "a2.jsonl")
-    spec = importlib.util.spec_from_file_location("reproduce_all", SCRIPTS / "reproduce_all.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("reproduce_all")
     script.run(["--fast", "--out", str(tmp_path / "script")])
     records = read_jsonl(tmp_path / "script" / "a2.jsonl")
     assert [r["bracket"] for r in records] == ["cross1", "cross2", "quaternion"]
     for rec in records:
         assert set(rec) == set(cli_rec) | {"bracket"}
-        assert rec["method"] == "qmc" and len(rec["inside_fractions"]) == 4  # --fast: 4 replicates
+        assert len(rec["inside_fractions"]) == 4  # --fast: 4 replicates
         assert rec["preflight_deviation"] < 1e-12  # the script runs the preflight
+
+
+def test_a2_convergence_script(capsys):
+    script = load_script("a2_convergence")
+    assert script.run(["--min-exp", "10", "--max-exp", "11", "--replicates", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "n_nodes,a2,stderr,wall_time"
+    assert [row.split(",")[0] for row in rows] == ["1024", "2048"]
+    assert all(float(row.split(",")[1]) > 0.0 for row in rows)
 
 
 def test_cli_missing_config_file():

@@ -3,7 +3,7 @@ import pytest
 import sympy
 
 from isophasal.brackets import Bracket, builtin_bracket
-from isophasal.coord import FDScheme, default_scheme, make_metric_fn, scalar_invariants_fd
+from isophasal.coord import FDScheme, default_scheme, first_derivative, make_metric_fn, scalar_invariants_fd
 from isophasal.metric import CutoffProfile, polar_to_cartesian
 from isophasal import frame
 from conftest import (
@@ -141,27 +141,25 @@ def test_christoffels_match_transported_oracle(cross1, reference_profile, rng):
     np.testing.assert_allclose(fb.Gamma[0], oracle, atol=1e-5)
 
 
-# --- frame derivative --------------------------------------------------------
-
-def test_frame_derivative_theta_zero(cross1, reference_profile):
-    ev = lambda x, r: float(np.sum(x) + np.sum(r))
-    assert frame.frame_derivative(ev, M + K + 1, np.zeros(M), 0.3 * np.ones(K), M, K) == 0.0
-
+# --- frame derivatives of Gamma ---------------------------------------------
 
 def test_frame_derivative_matches_analytic_dgamma(cross1, reference_profile):
+    # on theta-independent quantities E_delta is d/dx or d/dr for delta < m + k:
+    # compare the analytic dGamma with the coordinate oracle's fourth-order stencil
     x0 = np.array([0.31, -0.22, 0.17, 0.08, -0.12, 0.27])
     r0 = np.array([0.33, 0.41, 0.24])
     fb = frame.frame_bundle(cross1, reference_profile, x0[None], r0[None])
     comp = (MK, M + 1, 1)  # Gamma[that_1, rhat_2, xhat_1]
 
-    def gamma_eval(x, r):
-        g = frame.frame_bundle(cross1, reference_profile, x[None], r[None]).Gamma
-        return float(g[0][comp])
+    def gamma_eval(pts):
+        g = frame.frame_bundle(cross1, reference_profile, pts[:, :M], pts[:, M:]).Gamma
+        return g[(slice(None), *comp)]
 
+    scheme = FDScheme(h=1e-5, order=4, richardson=False)
+    fd = first_derivative(gamma_eval, np.concatenate([x0, r0])[None], scheme)[0]
     for delta in (0, 3, M, M + 2):
-        fd = frame.frame_derivative(gamma_eval, delta, x0, r0, M, K)
         analytic = fb.dGamma[0][comp + (delta,)]
-        assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+        assert fd[delta] == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
 
 # --- curvature ------------------------------------------------------------------
@@ -289,6 +287,24 @@ def test_a2_integrand_outside_support(cross1, reference_profile):
     x = np.full((1, M), 0.45)  # |x|^2 = 1.215 > 1
     out = frame.a2_integrand(cross1, reference_profile, x, 0.3 * np.ones((1, K)))
     assert out[0] == 0.0
+
+
+def test_a2_integrand_admits_as_the_quadrature_does(cross1, reference_profile):
+    # a zero plane radius outside the support: an exact zero, not a degenerate-point error
+    out = frame.a2_integrand(cross1, reference_profile, x=[[5.0] * M], r=[[0.0, 0.3, 0.3]])
+    assert out.tolist() == [0.0]
+    # inside the support but on an axis (radius at the floor): zero as well
+    x = np.full((1, M), 0.1)
+    r = np.array([[frame._r_min(reference_profile), 0.3, 0.3]])
+    assert reference_profile.inside_support(np.sum(x * x, axis=1), np.sum(r * r, axis=1)).tolist() == [True]
+    assert frame.a2_integrand(cross1, reference_profile, x, r).tolist() == [0.0]
+    # the engine itself keeps its radius guard
+    with pytest.raises(frame.DegeneratePointError):
+        frame.curvature_scalars(cross1, reference_profile, x, r)
+    # a negative radius is bad input, inside the support or not
+    for x_bad in (x, [[5.0] * M]):
+        with pytest.raises(ValueError, match="plane radius"):
+            frame.a2_integrand(cross1, reference_profile, x_bad, [[-0.3, 0.3, 0.3]])
 
 
 def test_a2_integrand_zero_bracket(zero_bracket, reference_profile, rng):
