@@ -157,11 +157,13 @@ def _cmd_intertwine(cfg: RunConfig) -> int:
         "pair": pair_name, "N": rep.band_limit, "n_points": rep.n_points,
         "max_residual": rep.max_residual, "truncation_tail": rep.truncation_tail,
         "residual_conj": rep.residual_conj, "residual_orth": rep.residual_orth,
+        "n_conjugators": rep.n_conjugators,
     })
     _write_jsonl(cfg.out_dir / "intertwine.jsonl", [rec])
     print(f"intertwining residual {rep.max_residual:.3e} "
-          f"(truncation tail {rep.truncation_tail:.1e}, {rep.n_functions} functions, "
-          f"{rep.n_points} points; conjugator residuals {rep.residual_conj:.1e} conj, "
+          f"({rep.n_functions} functions, {rep.n_points} points; truncation tail "
+          f"{rep.truncation_tail:.1e} on the widest-band function; residuals of the "
+          f"{rep.n_conjugators} conjugators Q used {rep.residual_conj:.1e} conj, "
           f"{rep.residual_orth:.1e} orth)")
     return 0 if rep.max_residual <= 1e-4 else 1
 

@@ -126,6 +126,8 @@ class QuadratureSpec:
             raise ValueError("n_nodes must be positive")
         if self.n_replicates < 2:
             raise ValueError("need n_replicates >= 2 for an error estimate")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,14 +8,17 @@ coefficient with the orthogonal conjugator of the frequency vector,
     (Q f)_Z(x, r) = f_Z(A_Z x, r),      A_Z^T j_2(Z) A_Z = j_1(Z),
 
 with A_0 the identity (the two torus-quotient metrics are both Euclidean).
-build_conjugators computes every A_Z of the band once, and apply_Q is the one
-map from a single-mode function to its image under Q.  The check performed
-here is Delta_{g1}(Q f) = Q(Delta_{g2} f) pointwise for a basket of
-band-limited test functions: Delta_{g2} f is evaluated numerically,
-re-decomposed over theta with the same band limit (reporting the truncation
-tail, which mode preservation keeps at rounding level), and composed with the
-per-mode rotations.  A non-isospectral pair must fail this check loudly;
-that negative control is part of the contract.
+build_conjugators computes A_Z for a given list of modes, and apply_Q is the
+one map from a single-mode function to its image under Q.  The check
+performed here is Delta_{g1}(Q f) = Q(Delta_{g2} f) pointwise for a basket
+of band-limited test functions, in two passes per pair: Delta_{g2} f is
+evaluated numerically and re-decomposed over theta with the same band limit,
+which names the modes Q needs (each in-band f.freq and every live mode);
+then the conjugators of exactly those modes are built, once, and the
+coefficients are composed with the per-mode rotations.  The truncation tail,
+which mode preservation keeps at rounding level, is measured once per pair,
+on the widest-band test function.  A non-isospectral pair must fail this
+check loudly; that negative control is part of the contract.
 
 Each test function is a product of four factors (a bump and a monomial in x,
 a bump and a monomial in the complex plane coordinates of u), and its value,
@@ -255,20 +258,22 @@ class FourierField:
 
 
 def build_conjugators(
-    b1: Bracket, b2: Bracket, N: int, strict: bool = True
+    b1: Bracket, b2: Bracket, modes: Sequence[tuple[int, ...]], strict: bool = True
 ) -> dict[tuple[int, ...], ConjugatorReport]:
-    """Orthogonal A_Z with their residuals for every |Z|_inf <= N; A_0 is the identity.
+    """Orthogonal A_Z with their residuals for each Z in modes; A_0 is the identity.
 
-    Orientation: Q carries functions from the second metric's side to the
-    first's, so A_Z must conjugate the second j-map onto the first,
-    A_Z^T j_2(Z) A_Z = j_1(Z).  (Composing a mode coefficient with x -> A x
-    pulls the metric data through A; checked numerically, the opposite
-    orientation only works when A is involutive.)  With strict=False a
-    best-effort orthogonal map is built even when the spectra do not match;
-    the negative control relies on the intertwining then failing detectably.
+    Each A_Z depends on Z alone, not on which other modes are built; pass
+    mode_vectors(N, k) for the whole band.  Orientation: Q carries functions
+    from the second metric's side to the first's, so A_Z must conjugate the
+    second j-map onto the first, A_Z^T j_2(Z) A_Z = j_1(Z).  (Composing a mode
+    coefficient with x -> A x pulls the metric data through A; checked
+    numerically, the opposite orientation only works when A is involutive.)
+    With strict=False a best-effort orthogonal map is built even when the
+    spectra do not match; the negative control relies on the intertwining
+    then failing detectably.
     """
     out: dict[tuple[int, ...], ConjugatorReport] = {}
-    for Z in mode_vectors(N, b1.k):
+    for Z in map(tuple, modes):
         if all(z == 0 for z in Z):
             out[Z] = ConjugatorReport(A=np.eye(b1.m), residual_conj=0.0, residual_orth=0.0)
         else:
@@ -279,14 +284,15 @@ def build_conjugators(
 def apply_Q(conjugators: dict[tuple[int, ...], ConjugatorReport], f: TestFunction) -> RotatedFunction:
     """Q applied to a single-mode test function: f composed with A_Z on the x block, Z = f.freq.
 
-    conjugators is build_conjugators(b1, b2, N); the result lives on the first
-    metric's side, Delta_{g1}(Q f) = Q(Delta_{g2} f).  A mode beyond the band N
-    has no conjugator, and the truncated Q maps it to zero.
+    conjugators is build_conjugators(b1, b2, modes) with Z among the modes;
+    the result lives on the first metric's side, Delta_{g1}(Q f) = Q(Delta_{g2} f).
+    A mode with no built conjugator raises KeyError.  The truncated Q's zero
+    beyond the band is intertwine_residual's rule, since only it knows N.
     """
-    rep = conjugators.get(tuple(f.freq))
-    if rep is None:
-        return RotatedFunction(base=dataclasses.replace(f, amplitude=0.0), A=np.eye(f.m))
-    return RotatedFunction(base=f, A=rep.A)
+    Z = tuple(f.freq)
+    if Z not in conjugators:
+        raise KeyError(f"no conjugator built for mode {Z}")
+    return RotatedFunction(base=f, A=conjugators[Z].A)
 
 
 def inverse_metric_divergence(
@@ -341,10 +347,12 @@ def laplacian(
 
 @dataclasses.dataclass(frozen=True)
 class IntertwineReport:
-    """Intertwining residuals, plus the worst conjugator residuals over the band.
+    """Intertwining residuals, plus the worst residuals of the conjugators built.
 
     residual_conj is max_Z ||A_Z^T j_2(Z) A_Z - j_1(Z)||_F and residual_orth
-    max_Z ||A_Z^T A_Z - I||_F (ConjugatorReport's residuals).
+    max_Z ||A_Z^T A_Z - I||_F (ConjugatorReport's residuals), over the
+    n_conjugators modes Q used (A_0 = I included), not the whole band.
+    truncation_tail is measured on one function, the widest-band one.
     """
 
     max_residual: float
@@ -355,48 +363,63 @@ class IntertwineReport:
     per_function: tuple[float, ...]
     residual_conj: float
     residual_orth: float
+    n_conjugators: int
 
 
-def _q_transported_laplacian(
-    b2: Bracket,
-    profile: CutoffProfile,
-    f: TestFunction,
-    x_pts: np.ndarray,
-    r_pts: np.ndarray,
-    theta_pts: np.ndarray,
-    N: int,
-    conjugators: dict[tuple[int, ...], ConjugatorReport],
-) -> tuple[np.ndarray, float]:
-    """Q(Delta_{g2} f) at polar points, re-decomposing Delta_{g2} f over theta.
+def _decompose(
+    b2: Bracket, profile: CutoffProfile, f: TestFunction, x_pts: np.ndarray, r_pts: np.ndarray, N: int
+) -> tuple[FourierField, np.ndarray, list[tuple[int, ...]]]:
+    """Delta_{g2} f split over theta on every point's fiber, in one batched Laplacian call.
 
-    Three batched Laplacian evaluations: every point's fiber, then the rotated
-    fiber (A_Z x, r) of every live mode Z (|coefficient| above _LIVE_RTOL of
-    the point's largest), then a band widened by two on the first
-    _TAIL_FIBERS fibers.  Returns the transported values and the relative
-    truncation tail, the coefficient mass beyond N on the widened band.
+    Returns the field and its live (point, mode) pairs: a mode is live at a
+    point where its |coefficient| exceeds _LIVE_RTOL of the point's largest.
     """
-    h_eval = lambda q: laplacian(b2, profile, f, q)
-    field = FourierField(h_eval, N, b2.k)
+    field = FourierField(lambda q: laplacian(b2, profile, f, q), N, b2.k)
     coefs = field.coefficients_all(x_pts, r_pts)
     modes = list(coefs)
     C = np.abs(np.stack([coefs[Z] for Z in modes], axis=1))  # (P, modes)
     floor = _LIVE_RTOL * np.maximum(np.max(C, axis=1), 1e-300)
     live_pt, live_mode = np.nonzero(C > floor[:, None])
+    return field, live_pt, [modes[j] for j in live_mode]
+
+
+def _transport(
+    field: FourierField,
+    live_pt: np.ndarray,
+    live: list[tuple[int, ...]],
+    conjugators: dict[tuple[int, ...], ConjugatorReport],
+    x_pts: np.ndarray,
+    r_pts: np.ndarray,
+    theta_pts: np.ndarray,
+) -> np.ndarray:
+    """Q(Delta_{g2} f) at polar points: each live mode Z read on its rotated fiber (A_Z x, r).
+
+    All rotated fibers go through one batched Laplacian call.
+    """
     out = np.zeros(x_pts.shape[0], dtype=complex)
     if live_pt.size:
-        Zs = np.asarray(modes)[live_mode]  # (L, k)
-        A = np.stack([conjugators[modes[j]].A for j in live_mode])
+        Zs = np.asarray(live)  # (L, k)
+        A = np.stack([conjugators[Z].A for Z in live])
         x_rot = np.einsum("lab,lb->la", A, x_pts[live_pt])
         c_rot = field.coefficient(Zs, x_rot, r_pts[live_pt])
         phase = np.exp(1j * np.einsum("lp,lp->l", Zs, theta_pts[live_pt]))
         np.add.at(out, live_pt, c_rot * phase)
-    wide = FourierField(h_eval, N + 2, b2.k)
+    return out
+
+
+def _truncation_tail(
+    b2: Bracket, profile: CutoffProfile, f: TestFunction, x_pts: np.ndarray, r_pts: np.ndarray, N: int
+) -> float:
+    """Relative coefficient mass of Delta_{g2} f beyond N, on a band widened by two.
+
+    Taken on the first _TAIL_FIBERS fibers, the worst fiber reported.
+    """
+    wide = FourierField(lambda q: laplacian(b2, profile, f, q), N + 2, b2.k)
     n_tail = min(_TAIL_FIBERS, x_pts.shape[0])
     wide_coefs = wide.coefficients_all(x_pts[:n_tail], r_pts[:n_tail])
     total = sum(np.abs(c) for c in wide_coefs.values())
     beyond = sum(np.abs(c) for Z, c in wide_coefs.items() if max(abs(z) for z in Z) > N)
-    tail = max((float(b / t) for b, t in zip(beyond, total) if t > 0), default=0.0)
-    return out, tail
+    return max((float(b / t) for b, t in zip(beyond, total) if t > 0), default=0.0)
 
 
 def intertwine_residual(
@@ -412,34 +435,41 @@ def intertwine_residual(
 
     points is a polar triple (x (P,m), r (P,k), theta (P,k)).  For isospectral
     pairs the residual sits at rounding level; for inequivalent spectra
-    (strict=False) it must be large.
+    (strict=False) it must be large.  Conjugators are built only for the
+    modes Q uses: each in-band f.freq and every live mode of a Delta_{g2} f.
     """
     x_pts, r_pts, theta_pts = (np.atleast_2d(np.asarray(a, dtype=float)) for a in points)
     cart = np.concatenate([x_pts, polar_to_cartesian(r_pts, theta_pts)], axis=1)
     if N is None:
         N = max(f.band_limit for f in test_functions)
-    conj = build_conjugators(b1, b2, N, strict=strict)
-    worst = 0.0
-    tail = 0.0
+    decomposed = [_decompose(b2, profile, f, x_pts, r_pts, N) for f in test_functions]
+    modes = {tuple(f.freq) for f in test_functions if f.band_limit <= N}
+    for _field, _live_pt, live in decomposed:
+        modes.update(live)
+    conj = build_conjugators(b1, b2, sorted(modes), strict=strict)
     per_fn = []
-    for f in test_functions:
-        # an out-of-band f has Q f = 0, while the undersized theta grid
-        # aliases it on the transported side
-        lhs = laplacian(b1, profile, apply_Q(conj, f), cart)
-        rhs, f_tail = _q_transported_laplacian(b2, profile, f, x_pts, r_pts, theta_pts, N, conj)
-        res = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
-        per_fn.append(res)
-        worst = max(worst, res)
-        tail = max(tail, f_tail)
+    for f, (field, live_pt, live) in zip(test_functions, decomposed):
+        # the truncated Q maps a mode beyond the band to zero, while the
+        # undersized theta grid aliases it on the transported side
+        if f.band_limit <= N:
+            Qf = apply_Q(conj, f)
+        else:
+            Qf = RotatedFunction(base=dataclasses.replace(f, amplitude=0.0), A=np.eye(f.m))
+        lhs = laplacian(b1, profile, Qf, cart)
+        rhs = _transport(field, live_pt, live, conj, x_pts, r_pts, theta_pts)
+        per_fn.append(float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
+    # max keeps the first of equally wide functions
+    widest = max(test_functions, key=lambda f: f.band_limit, default=None)
     return IntertwineReport(
-        max_residual=worst,
-        truncation_tail=tail,
+        max_residual=max(per_fn, default=0.0),
+        truncation_tail=0.0 if widest is None else _truncation_tail(b2, profile, widest, x_pts, r_pts, N),
         n_points=x_pts.shape[0],
         n_functions=len(test_functions),
         band_limit=N,
         per_function=tuple(per_fn),
-        residual_conj=max(c.residual_conj for c in conj.values()),
-        residual_orth=max(c.residual_orth for c in conj.values()),
+        residual_conj=max((c.residual_conj for c in conj.values()), default=0.0),
+        residual_orth=max((c.residual_orth for c in conj.values()), default=0.0),
+        n_conjugators=len(conj),
     )
 
 

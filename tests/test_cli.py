@@ -142,16 +142,21 @@ def test_cli_sweep_outputs(tmp_path):
 
 def test_cli_intertwine(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bracket2.builtin = quaternion\nintertwine.n_points = 4\nintertwine.n_functions = 2\n")
+    # five functions: the fifth's mode (1, -1, 0) is the first whose A_Z carries
+    # rounding, so the reported conjugator residuals are not all exact zeros
+    cfg.write_text("bracket2.builtin = quaternion\nintertwine.n_points = 4\nintertwine.n_functions = 5\n")
     rc = main(["intertwine", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     (rec,) = read_jsonl(tmp_path / "out" / "intertwine.jsonl")
-    for key in ("pair", "N", "n_points", "max_residual", "truncation_tail", "residual_conj", "residual_orth"):
+    for key in ("pair", "N", "n_points", "max_residual", "truncation_tail", "residual_conj", "residual_orth",
+                "n_conjugators"):
         assert key in rec
     assert rec["max_residual"] <= 1e-4
     # the conjugators' spectrum tolerance
     assert 0.0 < rec["residual_conj"] <= 1e-10
     assert 0.0 < rec["residual_orth"] <= 1e-10
+    # one A_Z per function's mode, A_0 = I included
+    assert rec["n_conjugators"] == 5
 
 
 def test_cli_validate(tmp_path):

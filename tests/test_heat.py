@@ -52,6 +52,13 @@ def test_spec_validation():
         QuadratureSpec(n_nodes=10, n_replicates=1)
 
 
+def test_spec_rejects_negative_seed():
+    # refused at construction, before any preflight or sampling could run
+    with pytest.raises(ValueError, match="seed"):
+        QuadratureSpec(n_nodes=64, n_replicates=2, seed=-1, preflight=False)
+    assert QuadratureSpec(n_nodes=64, n_replicates=2, seed=0, preflight=False).seed == 0
+
+
 def test_zero_bracket_integral(zero_bracket, reference_profile):
     res = integrate_a2(zero_bracket, reference_profile, SMALL)
     assert abs(res.value) < 1e-22

@@ -188,20 +188,42 @@ def test_fourier_batched_fibers(rng):
 # --- Q ---------------------------------------------------------------------------
 
 def test_apply_q_identity_pair(cross1, rng):
-    Qf = itw.apply_Q(itw.build_conjugators(cross1, cross1, 2), TF)
+    Qf = itw.apply_Q(itw.build_conjugators(cross1, cross1, itw.mode_vectors(2, K)), TF)
     pts = sample_points(rng)
     np.testing.assert_allclose(Qf(pts), TF(pts), atol=1e-12)
 
 
-def test_apply_q_out_of_band_is_zero(cross1, quaternion, rng):
-    # the truncated Q maps a mode beyond the band to the zero function
-    Qf = itw.apply_Q(itw.build_conjugators(cross1, quaternion, 1), TF)
-    val, grad, hess = Qf.value_grad_hess(sample_points(rng))
+def test_apply_q_out_of_band_is_zero(cross1, quaternion, reference_profile, monkeypatch, rng):
+    # the truncated Q maps a mode beyond the band to the zero function: the
+    # Qf that intertwine_residual hands to the first metric's Laplacian
+    in_band = itw.TestFunction(m=M, freq=(1, 0, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
+    lhs_functions = []
+    laplacian = itw.laplacian
+
+    def spy(bracket, profile, f, pts):
+        if isinstance(f, itw.RotatedFunction):
+            lhs_functions.append(f)
+        return laplacian(bracket, profile, f, pts)
+
+    monkeypatch.setattr(itw, "laplacian", spy)
+    itw.intertwine_residual(cross1, quaternion, reference_profile, [in_band, TF], small_points(reference_profile, n=3), N=1)
+    Q_in, Q_out = lhs_functions
+    pts = sample_points(rng)
+    val, grad, hess = Q_out.value_grad_hess(pts)
     assert not np.any(val) and not np.any(grad) and not np.any(hess)
+    assert np.any(Q_in(pts))
+
+
+def test_apply_q_requires_built_conjugator(cross1, quaternion):
+    # no silent zero: an in-band mode whose conjugator was not built is an error
+    conj = itw.build_conjugators(cross1, quaternion, [(0, 0, 0), (1, 0, 0)])
+    assert set(conj) == {(0, 0, 0), (1, 0, 0)}
+    with pytest.raises(KeyError, match="no conjugator"):
+        itw.apply_Q(conj, TF)
 
 
 def test_q_preserves_modes(cross1, cross2, rng):
-    Qf = itw.apply_Q(itw.build_conjugators(cross1, cross2, 2), TF)
+    Qf = itw.apply_Q(itw.build_conjugators(cross1, cross2, itw.mode_vectors(2, K)), TF)
     field = itw.FourierField(lambda q: Qf(q), N=2, k=K)
     coefs = field.coefficients_all(rng.uniform(-0.3, 0.3, size=M), rng.uniform(0.2, 0.4, size=K))
     live = {Z for Z, c in coefs.items() if abs(c) > 1e-13}
@@ -212,7 +234,7 @@ def test_q_linear(cross1, quaternion, rng):
     f1 = itw.TestFunction(m=M, freq=(1, -2, 0), powers=(1,))
     f2 = itw.TestFunction(m=M, freq=(1, -2, 0), powers=(0, 0, 2))
     a, b = 1.7, -0.4 + 0.9j
-    conj = itw.build_conjugators(cross1, quaternion, 2)
+    conj = itw.build_conjugators(cross1, quaternion, itw.mode_vectors(2, K))
     pts = sample_points(rng)
     combined = a * itw.apply_Q(conj, f1)(pts) + b * itw.apply_Q(conj, f2)(pts)
     # same frequency, so the combination is again a single-mode function with
@@ -230,7 +252,7 @@ def test_q_unitary_on_fibers(cross1, quaternion, rng):
         itw.TestFunction(m=M, freq=(1, 0, -1), powers=(1,)),
         itw.TestFunction(m=M, freq=(0, 2, 1)),
     ]
-    conj = itw.build_conjugators(cross1, quaternion, 2)
+    conj = itw.build_conjugators(cross1, quaternion, itw.mode_vectors(2, K))
 
     def f(q):
         return sum(fi(q) for fi in fns)
@@ -379,7 +401,7 @@ def test_inverse_metric_divergence_matches_fd(cross1, cross2, quaternion, refere
             assert err[2] < 1e-8
 
 
-def test_intertwine_band_refinement(cross1, quaternion, reference_profile):
+def test_intertwine_band_refinement(cross1, quaternion, reference_profile, conjugator_calls):
     # truncating below the band limit loses a live mode; widening to the band
     # limit restores the identity
     f = itw.TestFunction(m=M, freq=(2, 0, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
@@ -388,3 +410,41 @@ def test_intertwine_band_refinement(cross1, quaternion, reference_profile):
     rep_full = itw.intertwine_residual(cross1, quaternion, reference_profile, [f], pts, N=2)
     assert rep_full.max_residual <= 1e-12
     assert rep_narrow.max_residual > 1e3 * rep_full.max_residual
+    # at N = 1 the mode aliases onto (-1, 0, 0), which gets its conjugator
+    assert conjugator_calls == [(-1, 0, 0), (2, 0, 0)]
+
+
+@pytest.fixture
+def conjugator_calls(monkeypatch):
+    """The mode of every conjugator call intertwine makes, in call order."""
+    calls = []
+    conjugator = itw.conjugator
+
+    def counting(b1, b2, Z, require_match=True):
+        calls.append(tuple(int(z) for z in Z))
+        return conjugator(b1, b2, Z, require_match=require_match)
+
+    monkeypatch.setattr(itw, "conjugator", counting)
+    return calls
+
+
+def test_intertwine_builds_only_the_modes_q_uses(cross1, cross2, reference_profile, conjugator_calls):
+    # one conjugator call per distinct nonzero mode Q reads, and the report
+    # says how many modes its conjugator residuals cover
+    fns = itw.default_test_functions(M, K, reference_profile)[:6]
+    rep = itw.intertwine_residual(cross1, cross2, reference_profile, fns, small_points(reference_profile))
+    assert len(conjugator_calls) == 5
+    assert sorted(conjugator_calls) == sorted({f.freq for f in fns} - {(0, 0, 0)})
+    assert rep.n_conjugators == 6  # A_0 = I included
+    assert rep.max_residual <= 1e-12
+
+
+def test_intertwine_tail_on_widest_function(cross1, quaternion, reference_profile):
+    # the tail is measured once per pair, on the widest-band function even
+    # when it comes after a narrower one: at N = 1 a band-2 mode is all tail
+    narrow = itw.TestFunction(m=M, freq=(1, 0, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
+    wide = itw.TestFunction(m=M, freq=(0, 2, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
+    pts = small_points(reference_profile, n=3)
+    rep = itw.intertwine_residual(cross1, quaternion, reference_profile, [narrow, narrow, wide], pts, N=1)
+    assert rep.truncation_tail > 0.1
+    assert itw.intertwine_residual(cross1, quaternion, reference_profile, [narrow], pts, N=1).truncation_tail <= 1e-12
