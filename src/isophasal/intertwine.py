@@ -451,11 +451,7 @@ def intertwine_residual(
     for f, (field, live_pt, live) in zip(test_functions, decomposed):
         # the truncated Q maps a mode beyond the band to zero, while the
         # undersized theta grid aliases it on the transported side
-        if f.band_limit <= N:
-            Qf = apply_Q(conj, f)
-        else:
-            Qf = RotatedFunction(base=dataclasses.replace(f, amplitude=0.0), A=np.eye(f.m))
-        lhs = laplacian(b1, profile, Qf, cart)
+        lhs = laplacian(b1, profile, apply_Q(conj, f), cart) if f.band_limit <= N else 0.0
         rhs = _transport(field, live_pt, live, conj, x_pts, r_pts, theta_pts)
         per_fn.append(float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
     # max keeps the first of equally wide functions

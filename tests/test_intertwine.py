@@ -194,24 +194,33 @@ def test_apply_q_identity_pair(cross1, rng):
 
 
 def test_apply_q_out_of_band_is_zero(cross1, quaternion, reference_profile, monkeypatch, rng):
-    # the truncated Q maps a mode beyond the band to the zero function: the
-    # Qf that intertwine_residual hands to the first metric's Laplacian
+    # the truncated Q maps a mode beyond the band to the zero function: only
+    # the in-band Qf reaches the first metric's Laplacian, and the residual of
+    # the out-of-band one is that of a zero left-hand side
     in_band = itw.TestFunction(m=M, freq=(1, 0, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
-    lhs_functions = []
-    laplacian = itw.laplacian
+    lhs_functions, transported = [], []
+    laplacian, transport = itw.laplacian, itw._transport
 
-    def spy(bracket, profile, f, pts):
+    def laplacian_spy(bracket, profile, f, pts):
         if isinstance(f, itw.RotatedFunction):
             lhs_functions.append(f)
         return laplacian(bracket, profile, f, pts)
 
-    monkeypatch.setattr(itw, "laplacian", spy)
-    itw.intertwine_residual(cross1, quaternion, reference_profile, [in_band, TF], small_points(reference_profile, n=3), N=1)
-    Q_in, Q_out = lhs_functions
-    pts = sample_points(rng)
-    val, grad, hess = Q_out.value_grad_hess(pts)
-    assert not np.any(val) and not np.any(grad) and not np.any(hess)
-    assert np.any(Q_in(pts))
+    def transport_spy(*args):
+        transported.append(transport(*args))
+        return transported[-1]
+
+    monkeypatch.setattr(itw, "laplacian", laplacian_spy)
+    monkeypatch.setattr(itw, "_transport", transport_spy)
+    rep = itw.intertwine_residual(
+        cross1, quaternion, reference_profile, [in_band, TF], small_points(reference_profile, n=3), N=1
+    )
+    [Q_in] = lhs_functions
+    assert Q_in.base == in_band
+    assert np.any(Q_in(sample_points(rng)))
+    rhs = transported[1]
+    assert np.any(rhs)
+    assert rep.per_function[1] == float(np.max(np.abs(rhs) / (1.0 + np.abs(rhs))))
 
 
 def test_apply_q_requires_built_conjugator(cross1, quaternion):
@@ -363,6 +372,10 @@ def test_intertwine_isospectral_pairs(cross1, cross2, quaternion, reference_prof
         assert rep.truncation_tail <= 1e-12
         assert rep.residual_conj <= 1e-10
         assert rep.residual_orth <= 1e-10
+        # the report covers only the modes Q reads; check every conjugator of the band
+        band = itw.build_conjugators(cross1, other, itw.mode_vectors(2, K)).values()
+        assert max(c.residual_conj for c in band) <= 1e-10
+        assert max(c.residual_orth for c in band) <= 1e-10
 
 
 def test_intertwine_negative_control(cross1, cross2):
