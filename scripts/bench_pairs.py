@@ -11,15 +11,22 @@ directory (removed afterwards), then runs
 from each side's own checkout for the a2_triple, sweep and intertwine
 workloads, PAIRS times each.  Each pair runs both sides back to back on one
 workload; which side goes first alternates from pair to pair, so a drift in
-host speed cannot favour one side.  Both sides are committed revisions: commit
-the change before running the script.
+host speed cannot favour one side.  After the pairs, each side runs
+`--trace 1` once per workload, the first side again alternating from workload
+to workload.  Both sides are committed revisions: commit the change before
+running the script.
 
 Writes BENCH_<sha>.json for each side into the repository root.
 Each file holds the environment of perfbench's detail line, every run's
 detail and result lines, and per workload and end-to-end metric the median,
 the quartiles and the number of pairs this side won (strictly better than
-the other side).  `src_tree` is the git tree of the side's `src/`, so a file
-can be matched to any commit carrying the same sources.
+the other side).  Under `trace` it holds, per workload, the detail and
+result lines of the traced run, with the per-layer metrics.  Those are single
+runs, not medians: compare them between the two sides of one file pair only
+as counts or as rough costs.  A traced `sweep` holds one traced operation, so
+its per-layer values are single samples.  `src_tree` is the git tree of the
+side's `src/`, so a file can be matched to any commit carrying the same
+sources.
 """
 
 import argparse
@@ -48,9 +55,9 @@ def unpack(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_workload(tree: Path, workload: str) -> tuple[dict, dict]:
+def run_workload(tree: Path, workload: str, trace: int = 0) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout.splitlines()
     return json.loads(out[-2]), json.loads(out[-1])
 
@@ -89,6 +96,7 @@ def main(argv=None) -> int:
     shas = {"parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}"), "change": git("rev-parse", "HEAD")}
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {side: {w: [] for w in WORKLOADS} for side in shas}
+    traces = {side: {} for side in shas}
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
@@ -104,6 +112,12 @@ def main(argv=None) -> int:
                         {"pair": pair, "first": position == 0, "detail": detail, "result": result})
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"pair {pair} {workload} {side}: wall_s {wall:.3f}", flush=True)
+        for i, workload in enumerate(WORKLOADS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for position, side in enumerate(order):
+                detail, result = run_workload(trees[side], workload, trace=1)
+                traces[side][workload] = {"first": position == 0, "detail": detail, "result": result}
+                print(f"trace {workload} {side}: failed {result['failed']}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -113,10 +127,11 @@ def main(argv=None) -> int:
         record = {
             "side": side, "rev": sha, "src_tree": git("rev-parse", f"{sha}:src"),
             "against": shas[other], "pairs": PAIRS,
-            "command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0",
+            "command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0 (pairs), --trace 1 (trace)",
             "environment": first["environment"],
             "summary": summary(runs[side], runs[other], metrics),
             "runs": runs[side],
+            "trace": traces[side],
         }
         path = ROOT / f"BENCH_{sha[:7]}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

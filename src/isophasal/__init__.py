@@ -1,103 +1,7 @@
-"""Isophasal metric laboratory: brackets, torus-invariant metrics, curvature, heat invariants."""
+"""Isophasal metric laboratory: brackets, torus-invariant metrics, curvature, heat invariants.
 
-from .brackets import (
-    Bracket,
-    BUILTIN_BRACKETS,
-    ConjugatorReport,
-    IsospectralReport,
-    SpectraMismatchError,
-    builtin_bracket,
-    centralizer_dim,
-    check_isospectral,
-    conjugator,
-    equivalence_invariants,
-    gw_dimension_bound,
-    jmap,
-    spectrum,
-)
-from .metric import (
-    CutoffProfile,
-    cartesian_to_polar,
-    coupling_matrix,
-    inverse_metric_at,
-    is_euclidean_outside,
-    metric_at,
-    polar_to_cartesian,
-    psi,
-    vertical_field,
-)
-from .frame import (
-    FrameCurvature,
-    a2_integrand,
-    coupling_coeffs,
-    curvature_scalars,
-    degree_probe,
-    frame_bundle,
-    homogeneous_parts,
-)
-from .coord import FDScheme, scalar_invariants_fd, validate_known
-from .heat import (
-    QuadratureResult,
-    QuadratureSpec,
-    SweepResult,
-    integrate_a2,
-    isophasal_consistency,
-    sweep_s,
-)
-from .intertwine import (
-    TestFunction,
-    apply_Q,
-    intertwine_residual,
-    laplacian,
-)
-from .config import RunConfig, load_config, parse_config
-
-__all__ = [
-    "Bracket",
-    "BUILTIN_BRACKETS",
-    "ConjugatorReport",
-    "IsospectralReport",
-    "SpectraMismatchError",
-    "builtin_bracket",
-    "centralizer_dim",
-    "check_isospectral",
-    "conjugator",
-    "equivalence_invariants",
-    "gw_dimension_bound",
-    "jmap",
-    "spectrum",
-    "CutoffProfile",
-    "cartesian_to_polar",
-    "coupling_matrix",
-    "inverse_metric_at",
-    "is_euclidean_outside",
-    "metric_at",
-    "polar_to_cartesian",
-    "psi",
-    "vertical_field",
-    "FrameCurvature",
-    "a2_integrand",
-    "coupling_coeffs",
-    "curvature_scalars",
-    "degree_probe",
-    "frame_bundle",
-    "homogeneous_parts",
-    "FDScheme",
-    "scalar_invariants_fd",
-    "validate_known",
-    "QuadratureResult",
-    "QuadratureSpec",
-    "SweepResult",
-    "integrate_a2",
-    "isophasal_consistency",
-    "sweep_s",
-    "TestFunction",
-    "apply_Q",
-    "intertwine_residual",
-    "laplacian",
-    "RunConfig",
-    "load_config",
-    "parse_config",
-]
+The modules are the API (brackets, metric, frame, coord, heat, intertwine,
+config, cli); each lists its public names in __all__.  Import from them.
+"""
 
 __version__ = "0.1.0"

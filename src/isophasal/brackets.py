@@ -30,7 +30,6 @@ __all__ = [
     "canonical_skew_frame",
     "conjugator",
     "centralizer_dim",
-    "gw_dimension_bound",
     "builtin_bracket",
     "BUILTIN_BRACKETS",
     "equivalence_invariants",
@@ -207,14 +206,6 @@ def canonical_skew_frame(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U, np.asarray(mus)
 
 
-def _canonical_blocks(mus: np.ndarray, m: int) -> np.ndarray:
-    D = np.zeros((m, m))
-    for j, mu in enumerate(mus):
-        D[2 * j, 2 * j + 1] = -mu
-        D[2 * j + 1, 2 * j] = mu
-    return D
-
-
 @dataclasses.dataclass(frozen=True)
 class ConjugatorReport:
     A: np.ndarray
@@ -263,14 +254,6 @@ def centralizer_dim(bracket: Bracket) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return len(pairs)
     return int(np.sum(sv <= _RANK_TOL * sv[0]))
-
-
-def gw_dimension_bound(m: int) -> int:
-    """m(m-1)/2 - floor(m/2)(floor(m/2)+2); may be negative for small m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    h = m // 2
-    return m * (m - 1) // 2 - h * (h + 2)
 
 
 def _cross_block(sign: float) -> np.ndarray:

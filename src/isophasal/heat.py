@@ -15,10 +15,13 @@ scrambled afresh per replicate, which gives both fast convergence and an
 honest replicate-spread error estimate; it is the only sampler.  A node counts
 only where frame._usable_nodes admits it (inside the cutoff support, every
 plane radius above the frame's floor); the others contribute an exact zero,
-the same rule as frame.a2_integrand.  Node evaluation is embarrassingly
-parallel; the reduction is a fixed-order pairwise sum over node index, so
-results are bit-identical for any worker count, which resolve_workers alone
-decides.
+the same rule as frame.a2_integrand.  Each replicate is cut into fixed slices
+of _TASK_CHUNK nodes, and one loop evaluates them in order: in this process
+when there is one worker or a single slice, else on a fork pool whose ordered
+imap returns them in the same order.  The polar weight is applied once to the
+concatenated replicate, and the reduction is a fixed-order pairwise sum over
+node index, so results are bit-identical for any worker count, which
+resolve_workers alone decides.
 
 Pool workers run under a fixed glibc allocator policy: an mmap threshold of
 32 MiB and a trim threshold of 256 MiB, both static.  Under glibc's default
@@ -42,7 +45,7 @@ import os
 import time
 import warnings
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import qmc
@@ -51,9 +54,6 @@ from .brackets import Bracket, check_isospectral
 from .metric import CutoffProfile, plane_rotation
 from . import coord
 from . import frame
-
-if TYPE_CHECKING:
-    from multiprocessing.pool import Pool
 
 __all__ = [
     "QuadratureSpec",
@@ -81,7 +81,7 @@ SWEEP_DEGREES = (2, 1, 0, -1, -2)
 THETA_EQUIVARIANCE_TOL = 1e-12
 _PREFLIGHT_POINTS = 256
 _PREFLIGHT_SEED = 2024
-_TASK_CHUNK = 4096  # nodes handed to one worker task (fixed: determinism)
+_TASK_CHUNK = 4096  # nodes in one slice of a replicate (fixed: determinism)
 _CONSISTENCY_SIGMAS = 3.0  # isophasal_consistency's bound on |difference| / combined error
 
 
@@ -178,21 +178,15 @@ def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
         return qmc.Sobol(d=dim, scramble=True, seed=rng).random(spec.n_nodes)
 
 
-def _eval_contributions(
-    bracket: Bracket,
-    profile: CutoffProfile,
-    x: np.ndarray,
-    r: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Per-node weighted integrand (exact zeros at nodes not admitted) and the admitted-node count."""
+def _eval_slice(task) -> tuple[np.ndarray, int]:
+    """The a2 density on one slice of nodes (exact zeros where not admitted) and its admitted count.
+
+    task is (bracket, profile, x, r), one argument so that map and Pool.imap
+    both call it.
+    """
+    bracket, profile, x, r = task
     dens, keep = frame._admitted_density(bracket, profile, x, r)
-    dens[keep] = dens[keep] * (2.0 * math.pi) ** bracket.k * np.prod(r[keep], axis=1)
     return dens, int(np.count_nonzero(keep))
-
-
-def _eval_task(args) -> tuple[int, np.ndarray, int]:
-    idx, tensor, profile, x, r = args
-    return (idx, *_eval_contributions(Bracket(tensor), profile, x, r))
 
 
 def _worker_malloc_policy() -> None:
@@ -222,7 +216,7 @@ def _worker_malloc_policy() -> None:
 
 @contextlib.contextmanager
 def _node_pool(bracket: Bracket, n_nodes: int, workers: int):
-    """One fork pool for every batch of an integrate_a2 call, or None when batches run in process.
+    """One fork pool for every slice of an integrate_a2 call, or None when the slices run in process.
 
     Each worker runs _worker_malloc_policy first, so engine batches reuse
     its heap instead of page-faulting it in afresh.  The policy lives and
@@ -234,34 +228,6 @@ def _node_pool(bracket: Bracket, n_nodes: int, workers: int):
     frame.curvature_tables(bracket.m, bracket.k)  # built once here, inherited by the workers
     with get_context("fork").Pool(processes=workers, initializer=_worker_malloc_policy) as pool:
         yield pool
-
-
-def _contributions_parallel(
-    bracket: Bracket,
-    profile: CutoffProfile,
-    x: np.ndarray,
-    r: np.ndarray,
-    pool: Pool | None,
-) -> tuple[np.ndarray, int]:
-    """Per-node contributions and the usable-node count, over the pool when there is one.
-
-    Tasks are fixed slices of _TASK_CHUNK nodes and each result lands at its
-    slice, so the output does not depend on the number of workers.
-    """
-    n = x.shape[0]
-    if pool is None:
-        return _eval_contributions(bracket, profile, x, r)
-    tasks = [
-        (ci, np.asarray(bracket.tensor), profile, x[lo : lo + _TASK_CHUNK], r[lo : lo + _TASK_CHUNK])
-        for ci, lo in enumerate(range(0, n, _TASK_CHUNK))
-    ]
-    out = np.empty(n)
-    usable = 0
-    for ci, vals, n_usable in pool.imap_unordered(_eval_task, tasks):
-        lo = ci * _TASK_CHUNK
-        out[lo : lo + vals.shape[0]] = vals
-        usable += n_usable
-    return out, usable
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -322,8 +288,14 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
             box = _sample_box(spec, rep, m + k)
             x = (2.0 * box[:, :m] - 1.0) * rx
             r = box[:, m:] * rr
-            contrib, usable = _contributions_parallel(bracket, profile, x, r, pool)
-            inside_fracs.append(usable / spec.n_nodes)
+            slices = [
+                (bracket, profile, x[lo : lo + _TASK_CHUNK], r[lo : lo + _TASK_CHUNK])
+                for lo in range(0, spec.n_nodes, _TASK_CHUNK)
+            ]
+            dens, usable = zip(*(pool.imap if pool else map)(_eval_slice, slices))
+            # exact zeros stay zero under the nonnegative polar weight
+            contrib = np.concatenate(dens) * (2.0 * math.pi) ** k * np.prod(r, axis=1)
+            inside_fracs.append(sum(usable) / spec.n_nodes)
             rep_values.append(vol_box * float(np.sum(contrib)) / spec.n_nodes)
     if max(inside_fracs) == 0.0:
         raise DegenerateNodesError("no quadrature nodes hit the integrand support")

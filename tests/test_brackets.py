@@ -14,7 +14,6 @@ from isophasal.brackets import (
     check_isospectral,
     conjugator,
     equivalence_invariants,
-    gw_dimension_bound,
     jmap,
     signed_permutations,
     spectrum,
@@ -207,16 +206,6 @@ def test_centralizer_orthogonal_invariance(cross1, quaternion, rng):
     A = random_orthogonal(6, rng)
     assert centralizer_dim(cross1.conjugated(A)) == 1
     assert centralizer_dim(quaternion.conjugated(A)) == 4
-
-
-# --- dimension bound --------------------------------------------------------
-
-def test_gw_dimension_bound():
-    assert gw_dimension_bound(7) == 6
-    assert gw_dimension_bound(6) == 0
-    assert gw_dimension_bound(5) == 2
-    with pytest.raises(ValueError):
-        gw_dimension_bound(0)
 
 
 # --- builtins ---------------------------------------------------------------

@@ -89,10 +89,20 @@ def _same_result(r1, r2):
 
 
 def test_worker_count_invariance(cross1, reference_profile, monkeypatch, opened_pools):
-    # three pool tasks per replicate, the last one short
+    # three slices per replicate, the last one short, in process and on the pool alike
     spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808)
+    sizes = []
+    admitted_density = frame._admitted_density
+
+    def spy(bracket, profile, x, r):
+        sizes.append(x.shape[0])
+        return admitted_density(bracket, profile, x, r)
+
+    monkeypatch.setattr(frame, "_admitted_density", spy)
     r1, r2 = _two_core_runs(monkeypatch, cross1, reference_profile, spec)
     assert opened_pools == [2]
+    # pool workers append to their own copies, so sizes holds the one-worker leg's calls
+    assert sizes == [heat._TASK_CHUNK, heat._TASK_CHUNK, 1808] * spec.n_replicates
     _same_result(r1, r2)
 
 
