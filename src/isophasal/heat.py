@@ -10,9 +10,13 @@ integrated out exactly: nodes live in the (x, r) box with weight
 (2 pi)^k * prod_p r_p.  Before trusting that reduction, a preflight certifies
 that the torus acts by isometries: the metric must satisfy
 G(x, R_theta u) = D_theta G(x, u) D_theta^T to rounding, which makes every
-curvature scalar theta-invariant.  The nodes are Owen-scrambled Sobol' points,
-scrambled afresh per replicate, which gives both fast convergence and an
-honest replicate-spread error estimate; it is the only sampler.  A node counts
+curvature scalar theta-invariant.  The nodes are Sobol' points (Joe-Kuo
+direction numbers) under linear matrix scrambling plus a random digital shift
+(Matousek, J. Complexity 14, 1998), scrambled afresh per replicate, which gives
+both fast convergence and an honest replicate-spread error estimate; it is the
+only sampler.  _sample_box generates them with numpy alone, bit for bit the
+stream of scipy.stats.qmc.Sobol(scramble=True), at most 2**30 nodes in at most
+32 dimensions.  A node counts
 only where frame._usable_nodes admits it (inside the cutoff support, every
 plane radius above the frame's floor); the others contribute an exact zero,
 the same rule as frame.a2_integrand.  Each replicate is cut into fixed slices
@@ -40,15 +44,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import time
-import warnings
 from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .brackets import Bracket, check_isospectral
 from .metric import CutoffProfile, plane_rotation
@@ -83,6 +86,44 @@ _PREFLIGHT_POINTS = 256
 _PREFLIGHT_SEED = 2024
 _TASK_CHUNK = 4096  # nodes in one slice of a replicate (fixed: determinism)
 _CONSISTENCY_SIGMAS = 3.0  # isophasal_consistency's bound on |difference| / combined error
+_SOBOL_BITS = 30  # bits per Sobol' coordinate; a replicate holds at most 2**30 nodes
+# Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008) for the
+# first 32 dimensions: (primitive polynomial, initial direction integers).  The
+# first dimension has no recurrence: every one of its direction integers is 1.
+_JOE_KUO = (
+    (1, ()),
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)),
+)
 
 
 class ThetaDependenceError(AssertionError):
@@ -124,6 +165,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be positive")
+        if self.n_nodes > 2**_SOBOL_BITS:
+            raise ValueError(f"n_nodes must be at most 2**{_SOBOL_BITS}, the Sobol' sampler's limit")
         if self.n_replicates < 2:
             raise ValueError("need n_replicates >= 2 for an error estimate")
         if self.seed < 0:
@@ -167,15 +210,69 @@ def resolve_workers() -> int:
     return min(n, cores)
 
 
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Unscrambled Sobol' direction integers m_j, (dim, _SOBOL_BITS) uint32, column j shifted left by 29 - j.
+
+    Row d follows the Bratley-Fox recurrence for its primitive polynomial of
+    degree s: m_j = m_(j-s) ^ (m_(j-s) << s) ^ XOR over 0 < i < s of
+    a_i * (m_(j-i) << i), with a_i the polynomial's bit s - i.  Read-only,
+    since the cache hands the same array to every caller.
+    """
+    bits = _SOBOL_BITS
+    v = np.ones((dim, bits), dtype=np.uint32)
+    for d in range(1, dim):
+        poly, init = _JOE_KUO[d]
+        s = len(init)
+        row = list(init)
+        for j in range(s, bits):
+            new = row[j - s] ^ (row[j - s] << s)
+            for i in range(1, s):
+                if (poly >> (s - i)) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        v[d] = row
+    v <<= np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    v.setflags(write=False)
+    return v
+
+
 def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
-    """Unit-box nodes for one replicate: Owen-scrambled Sobol' points, seeded by (seed, replicate)."""
-    rng = np.random.default_rng([spec.seed, replicate])
-    with warnings.catch_warnings():
-        # n_nodes need not be a power of two
-        warnings.filterwarnings(
-            "ignore", message="The balance properties of Sobol' points", category=UserWarning
-        )
-        return qmc.Sobol(d=dim, scramble=True, seed=rng).random(spec.n_nodes)
+    """Unit-box nodes for one replicate: scrambled Sobol' points, seeded by (seed, replicate).
+
+    The scramble is a random lower-triangular GF(2) matrix per dimension
+    (unit diagonal, bit rows read most significant first) applied to the
+    direction integers, plus a random digital shift (Matousek 1998).  The
+    array equals qmc.Sobol(d=dim, scramble=True,
+    seed=np.random.default_rng([seed, replicate])).random(n_nodes) from
+    scipy.stats bit for bit: the same child seed sequence scipy spawns, the
+    same draws in the same order (shift, then matrices), and the same
+    Gray-code order of points.  dim is at most len(_JOE_KUO).
+    """
+    bits = _SOBOL_BITS
+    n = spec.n_nodes
+    seq = np.random.SeedSequence([spec.seed, replicate], spawn_key=(0,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    powers = np.uint32(1) << np.arange(bits, dtype=np.uint32)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ powers
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    msb_first = np.arange(bits - 1, -1, -1, dtype=np.uint32)[:, None]
+    v_bits = (_sobol_directions(dim)[:, None, :] >> msb_first) & 1
+    directions = (((ltm @ v_bits) & 1) << msb_first).sum(axis=1, dtype=np.uint32)
+    # Point i is shift ^ XOR of directions[:, b] over the set bits b of gray(i).
+    # gray(f + t) = f | gray(f - 1 - t) for f = 2**j > t, so each block of
+    # points is the one before it, reversed, XOR the next direction column.
+    points = np.empty((n, dim), dtype=np.uint32)
+    points[0] = shift
+    filled = 1
+    for column in directions.T:
+        if filled == n:
+            break
+        size = min(filled, n - filled)
+        np.bitwise_xor(points[filled - size : filled][::-1], column, out=points[filled : filled + size])
+        filled += size
+    return points * 2.0**-bits
 
 
 def _eval_slice(task) -> tuple[np.ndarray, int]:
@@ -275,6 +372,10 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     """a2(g) over the support box with the angular factor integrated out exactly."""
     t_start = time.perf_counter()
     m, k = bracket.m, bracket.k
+    if m + k > len(_JOE_KUO):
+        raise ValueError(
+            f"the Sobol' sampler covers at most {len(_JOE_KUO)} dimensions, got m + k = {m + k}"
+        )
     rx = profile.x_radius
     rr = profile.u_radius
     workers = resolve_workers()

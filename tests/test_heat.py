@@ -2,12 +2,17 @@ import ctypes
 import dataclasses
 import math
 import multiprocessing
+import os
 import platform
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isophasal
 from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.metric import CutoffProfile
 from isophasal import frame, heat
@@ -57,6 +62,73 @@ def test_spec_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed"):
         QuadratureSpec(n_nodes=64, n_replicates=2, seed=-1, preflight=False)
     assert QuadratureSpec(n_nodes=64, n_replicates=2, seed=0, preflight=False).seed == 0
+
+
+def test_spec_rejects_more_nodes_than_sobol_holds():
+    # refused at construction; nothing is sampled
+    with pytest.raises(ValueError, match=r"2\*\*30"):
+        QuadratureSpec(n_nodes=2**30 + 1)
+    assert QuadratureSpec(n_nodes=2**30).n_nodes == 2**30
+
+
+def test_integrate_a2_rejects_too_many_dimensions(monkeypatch):
+    def preflight(bracket, profile):
+        raise AssertionError("preflight ran before the dimension check")
+
+    monkeypatch.setattr(heat, "preflight_theta_invariance", preflight)
+    wide = Bracket(np.zeros((1, 32, 32)))  # m + k = 33
+    with pytest.raises(ValueError, match="at most 32 dimensions"):
+        integrate_a2(wide, CutoffProfile(1.0, 1.0, 1.0), QuadratureSpec(n_nodes=64, n_replicates=2))
+
+
+def _scipy_sobol(seed, replicate, dim, n):
+    from scipy.stats import qmc
+
+    return qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([seed, replicate])).random(n)
+
+
+def _assert_same_stream(seed, replicate, dim, n):
+    ours = heat._sample_box(QuadratureSpec(n_nodes=n, seed=seed), replicate, dim)
+    theirs = _scipy_sobol(seed, replicate, dim, n)
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert np.array_equal(ours, theirs), (seed, replicate, dim, n)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
+@pytest.mark.parametrize("dim", range(1, 33))
+def test_sample_box_matches_scipy_every_dimension(dim):
+    for n in (1, 2, 3, 5, 64, 100):
+        _assert_same_stream(7, 11, dim, n)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol' points")
+@pytest.mark.parametrize("dim", [7, 9, 11])
+@pytest.mark.parametrize("seed, replicate", [(0, 0), (7, 11), (3, 5)])
+def test_sample_box_matches_scipy_large(seed, replicate, dim):
+    for n in (1, 2, 3, 2048, 4097, 32768):
+        _assert_same_stream(seed, replicate, dim, n)
+
+
+def test_sample_box_pinned_nodes():
+    # holds the stream fixed even if scipy's own Sobol' changes
+    expected = [
+        ["0x1.4d04bf9p-1", "0x1.d5a9ad7p-1", "0x1.9b783fp-4", "0x1.dd5a85ep-1", "0x1.6c75efbp-1",
+         "0x1.a51cbf8p-3", "0x1.a58f0d3p-1", "0x1.891cc1cp-1", "0x1.778690ep-1"],
+        ["0x1.b0e9f78p-2", "0x1.69330afp-2", "0x1.06cd7458p-1", "0x1.478ea7cp-3", "0x1.878396p-4",
+         "0x1.8d11e37p-1", "0x1.5f70c89p-2", "0x1.8d5b543p-2", "0x1.b9beed2p-2"],
+        ["0x1.9cde894p-3", "0x1.510c49fp-1", "0x1.86c9e82p-2", "0x1.6f3d1cep-1", "0x1.631f5b1p-2",
+         "0x1.6c56216p-1", "0x1.18a831e8p-1", "0x1.52d1a2p-5", "0x1.3a7e9f8p-4"],
+    ]
+    nodes = heat._sample_box(QuadratureSpec(n_nodes=3, seed=7), 0, 9)
+    assert nodes.tolist() == [[float.fromhex(h) for h in row] for row in expected]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(isophasal.__file__).resolve().parents[1])
+    code = "import isophasal.cli, sys; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_zero_bracket_integral(zero_bracket, reference_profile):
