@@ -17,7 +17,9 @@ Artifacts are JSON lines (one record per result, sorted keys, no volatile
 fields) plus a CSV for the sweep table, so repeated runs with the same
 config and seed are byte-identical.  Every record embeds the config hash and
 seed.  Exit status: 0 on success, 1 when an asserted tolerance fails, 2 on
-configuration errors (a bad scale list among them).  ISOPHASAL_THREADS sets
+configuration errors (a bad scale list among them; every config error names
+its key, and its line when it came from the file) and on brackets whose
+m + k exceeds the 32 dimensions of the Sobol' sampler.  ISOPHASAL_THREADS sets
 the worker count (default: the available cores, which also cap it); it must
 be a positive integer, anything else exits with status 2.
 """
@@ -55,7 +57,7 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 def _stamp(cfg: RunConfig, rec: dict) -> dict:
     rec["config_hash"] = cfg.config_hash
-    rec["seed"] = cfg.seed
+    rec["seed"] = cfg.quadrature().seed
     return rec
 
 
@@ -77,7 +79,7 @@ def _cmd_brackets(cfg: RunConfig) -> int:
         for j in range(i + 1, len(named)):
             n1, b1 = named[i]
             n2, b2_ = named[j]
-            rep = check_isospectral(b1, b2_, seed=cfg.seed)
+            rep = check_isospectral(b1, b2_, seed=cfg.quadrature().seed)
             fp_equal = bool(np.allclose(fps[n1], fps[n2], atol=1e-9))
             records.append(_stamp(cfg, {
                 "kind": "pair", "pair": [n1, n2],
@@ -116,7 +118,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     b = cfg.bracket()
     profile = cfg.cutoff()
     spec = cfg.quadrature()
-    res = heat.sweep_s(b, profile, cfg.s_list(), spec)
+    res = heat.sweep_s(b, profile, cfg.s_list, spec)
     csv_path = cfg.out_dir / "sweep.csv"
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w") as fh:
@@ -149,10 +151,9 @@ def _cmd_intertwine(cfg: RunConfig) -> int:
         b1, b2 = builtin_bracket("cross1"), builtin_bracket("cross2")
         pair_name = ["cross1", "cross2"]
     profile = cfg.cutoff()
-    band, n_points, n_functions = cfg.intertwine_params()
-    fns = intertwine.default_test_functions(b1.m, b1.k, profile)[:n_functions]
-    pts = intertwine.default_points(b1.m, b1.k, profile, n_points=n_points, seed=cfg.seed)
-    rep = intertwine.intertwine_residual(b1, b2, profile, fns, pts, N=band)
+    fns = intertwine.default_test_functions(b1.m, b1.k, profile)[: cfg.n_functions]
+    pts = intertwine.default_points(b1.m, b1.k, profile, n_points=cfg.n_points, seed=cfg.quadrature().seed)
+    rep = intertwine.intertwine_residual(b1, b2, profile, fns, pts, N=cfg.band_limit)
     rec = _stamp(cfg, {
         "pair": pair_name, "N": rep.band_limit, "n_points": rep.n_points,
         "max_residual": rep.max_residual, "truncation_tail": rep.truncation_tail,
@@ -171,7 +172,7 @@ def _cmd_intertwine(cfg: RunConfig) -> int:
 def _cmd_validate(cfg: RunConfig) -> int:
     profile = cfg.cutoff()
     b = cfg.bracket()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.quadrature().seed)
     checks: list[dict] = []
 
     def record(name: str, value: float, tol: float):
@@ -266,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides=overrides)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, heat.WorkerCountError) as exc:
+    except (ConfigError, heat.WorkerCountError, heat.SamplerDimensionError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -8,8 +8,12 @@ per line, `#` comments, no nesting.  Example:
     cutoff.r2sq = 1.0
     quadrature.nodes = 100000
 
-Unknown keys and type errors are reported with their line number so the CLI
-can exit with a usable diagnostic.
+parse_config converts each key once, into the objects the commands use: the
+brackets (each file read once), the CutoffProfile, the QuadratureSpec, the
+scale list and the intertwining sizes.  The objects' own constructors check
+the values; whatever they or a conversion reject becomes a ConfigError that
+names the key, and its line when the value came from the text.  RunConfig
+holds only those typed values.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from pathlib import Path
+from typing import Callable
 
 from .brackets import Bracket, bracket_from_text, builtin_bracket
 from .heat import QuadratureSpec, _scale_list
+from .intertwine import TEST_BASKET
 from .metric import CutoffProfile
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -43,7 +49,6 @@ _DEFAULTS: dict[str, str] = {
     "bracket.file": "",
     "bracket2.builtin": "",
     "bracket2.file": "",
-    "cutoff.kind": "bump_product",
     "cutoff.r1sq": "1.0",
     "cutoff.r2sq": "1.0",
     "cutoff.amplitude": "1.0",
@@ -59,7 +64,21 @@ _DEFAULTS: dict[str, str] = {
     "output.dir": "out",
 }
 
-DEFAULT_CONFIG_TEXT = "\n".join(f"{k} = {v}" for k, v in _DEFAULTS.items() if v) + "\n"
+
+def _bool(value: str) -> bool:
+    low = value.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+# (key, field, conversion) of the two dataclasses the config builds; their constructors check the values
+_CUTOFF_FIELDS = (("cutoff.r1sq", "r1sq", float), ("cutoff.r2sq", "r2sq", float),
+                  ("cutoff.amplitude", "amplitude", float), ("cutoff.s", "s", float))
+_QUADRATURE_FIELDS = (("quadrature.nodes", "n_nodes", int), ("quadrature.replicates", "n_replicates", int),
+                      ("quadrature.seed", "seed", int), ("quadrature.preflight", "preflight", _bool))
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -77,112 +96,41 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
-def _get_float(entries, key, positive=True) -> float:
-    value, lineno = entries[key]
-    try:
-        v = float(value)
-    except ValueError:
-        raise ConfigError(f"not a number: {value!r}", line=lineno, field=key) from None
-    if positive and v <= 0:
-        raise ConfigError(f"must be positive, got {v}", line=lineno, field=key)
-    return v
-
-
-def _get_int(entries, key, minimum=1) -> int:
-    value, lineno = entries[key]
-    try:
+def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    def convert(value: str) -> int:
         v = int(value)
-    except ValueError:
-        raise ConfigError(f"not an integer: {value!r}", line=lineno, field=key) from None
-    if v < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {v}", line=lineno, field=key)
-    return v
+        if v < lo or (hi is not None and v > hi):
+            raise ValueError(f"must be >= {lo}{'' if hi is None else f' and <= {hi}'}, got {v}")
+        return v
 
-
-def _get_bool(entries, key) -> bool:
-    value, lineno = entries[key]
-    low = value.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {value!r}", line=lineno, field=key)
+    return convert
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    entries: dict[str, str]
-    config_hash: str
-    base_dir: Path
+    """A parsed run: typed values only, built once by parse_config."""
 
-    def _bracket_from(self, section: str) -> Bracket | None:
-        name = self.entries[f"{section}.builtin"]
-        file = self.entries[f"{section}.file"]
-        if file:
-            path = (self.base_dir / file).resolve() if not Path(file).is_absolute() else Path(file)
-            try:
-                return bracket_from_text(path.read_text())
-            except (OSError, ValueError) as exc:
-                raise ConfigError(str(exc), field=f"{section}.file") from exc
-        if name:
-            try:
-                return builtin_bracket(name)
-            except ValueError as exc:
-                raise ConfigError(str(exc), field=f"{section}.builtin") from exc
-        return None
+    config_hash: str
+    out_dir: Path
+    s_list: tuple[float, ...]
+    band_limit: int
+    n_points: int
+    n_functions: int
+    _brackets: tuple[Bracket, Bracket | None]
+    _profile: CutoffProfile
+    _spec: QuadratureSpec
 
     def bracket(self) -> Bracket:
-        b = self._bracket_from("bracket")
-        if b is None:
-            raise ConfigError("no bracket configured", field="bracket.builtin")
-        return b
+        return self._brackets[0]
 
     def second_bracket(self) -> Bracket | None:
-        b2 = self._bracket_from("bracket2")
-        if b2 is not None:
-            b1 = self.bracket()
-            if (b1.m, b1.k) != (b2.m, b2.k):
-                raise ConfigError(
-                    f"dimension mismatch: bracket is ({b1.m},{b1.k}), bracket2 is ({b2.m},{b2.k})",
-                    field="bracket2.builtin",
-                )
-        return b2
+        return self._brackets[1]
 
     def cutoff(self) -> CutoffProfile:
-        return CutoffProfile(
-            r1sq=float(self.entries["cutoff.r1sq"]),
-            r2sq=float(self.entries["cutoff.r2sq"]),
-            amplitude=float(self.entries["cutoff.amplitude"]),
-            s=float(self.entries["cutoff.s"]),
-            kind=self.entries["cutoff.kind"],
-        )
+        return self._profile
 
     def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            n_nodes=int(self.entries["quadrature.nodes"]),
-            n_replicates=int(self.entries["quadrature.replicates"]),
-            seed=int(self.entries["quadrature.seed"]),
-            preflight=self.entries["quadrature.preflight"] == "true",
-        )
-
-    def s_list(self) -> list[float]:
-        return _scale_list(tok for tok in self.entries["sweep.s_list"].split(",") if tok.strip())
-
-    @property
-    def seed(self) -> int:
-        return int(self.entries["quadrature.seed"])
-
-    @property
-    def out_dir(self) -> Path:
-        p = Path(self.entries["output.dir"])
-        return p if p.is_absolute() else self.base_dir / p
-
-    def intertwine_params(self) -> tuple[int, int, int]:
-        return (
-            int(self.entries["intertwine.band_limit"]),
-            int(self.entries["intertwine.n_points"]),
-            int(self.entries["intertwine.n_functions"]),
-        )
+        return self._spec
 
 
 def parse_config(
@@ -190,56 +138,74 @@ def parse_config(
     base_dir: Path | str = ".",
     overrides: dict[str, str] | None = None,
 ) -> RunConfig:
-    entries_raw = _parse_lines(text)
-    merged = dict(_DEFAULTS)
-    for key, (value, _lineno) in entries_raw.items():
-        merged[key] = value
+    values = dict(_DEFAULTS)
+    line_of: dict[str, int] = {}
+    for key, (value, lineno) in _parse_lines(text).items():
+        values[key], line_of[key] = value, lineno
     for key, value in (overrides or {}).items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown key {key!r}", field=key)
-        merged[key] = str(value)
+        values[key] = str(value)
+        line_of.pop(key, None)  # the value no longer comes from that line
+    base_dir = Path(base_dir)
 
-    # type/range validation with line diagnostics where available
-    ghost = {k: (v, entries_raw.get(k, (v, None))[1]) for k, v in merged.items()}
-    for key in ("cutoff.r1sq", "cutoff.r2sq", "cutoff.s"):
-        _get_float(ghost, key)
-    if _get_float(ghost, "cutoff.amplitude", positive=False) < 0:
-        raise ConfigError("must be nonnegative", line=ghost["cutoff.amplitude"][1], field="cutoff.amplitude")
-    _get_int(ghost, "quadrature.nodes")
-    _get_int(ghost, "quadrature.replicates", minimum=2)
-    _get_int(ghost, "quadrature.seed", minimum=0)
-    _get_int(ghost, "intertwine.band_limit", minimum=0)
-    _get_int(ghost, "intertwine.n_points")
-    _get_int(ghost, "intertwine.n_functions")
-    _get_bool(ghost, "quadrature.preflight")
-    merged["quadrature.preflight"] = "true" if _get_bool(ghost, "quadrature.preflight") else "false"
+    def read(key: str, convert: Callable[[str], object]):
+        """convert(value of key); what it rejects becomes a ConfigError naming key and line."""
+        try:
+            return convert(values[key])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc), line=line_of.get(key), field=key) from None
 
+    def set_field(obj, key: str, name: str, convert: Callable[[str], object]):
+        """obj with field name set from key: the constructor checks that one value."""
+        return read(key, lambda v: dataclasses.replace(obj, **{name: convert(v)}))
+
+    def bracket_of(section: str) -> tuple[Bracket | None, str]:
+        """The section's bracket (a file before a builtin) and the key that set it."""
+        # joining an absolute file path replaces base_dir
+        for key, build in ((f"{section}.file", lambda v: bracket_from_text((base_dir / v).read_text())),
+                           (f"{section}.builtin", builtin_bracket)):
+            if values[key]:
+                return read(key, build), key
+        return None, f"{section}.builtin"
+
+    b1, key1 = bracket_of("bracket")
+    if b1 is None:
+        raise ConfigError("no bracket configured", line=line_of.get(key1), field=key1)
+    b2, key2 = bracket_of("bracket2")
+    if b2 is not None and (b1.m, b1.k) != (b2.m, b2.k):
+        raise ConfigError(
+            f"dimension mismatch: bracket is ({b1.m},{b1.k}), bracket2 is ({b2.m},{b2.k})",
+            line=line_of.get(key2), field=key2,
+        )
+
+    profile = CutoffProfile(r1sq=1.0, r2sq=1.0)  # a valid start: each field is then set from its key
+    for key, name, convert in _CUTOFF_FIELDS:
+        profile = set_field(profile, key, name, convert)
+    spec = QuadratureSpec()
+    for key, name, convert in _QUADRATURE_FIELDS:
+        spec = set_field(spec, key, name, convert)
+
+    values["quadrature.preflight"] = "true" if spec.preflight else "false"
     # the output path is not part of the run semantics: identical runs written
     # to different directories must produce identical artifact bytes
-    canonical = "\n".join(f"{k}={merged[k]}" for k in sorted(merged) if k != "output.dir")
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-    cfg = RunConfig(entries=merged, config_hash=digest, base_dir=Path(base_dir))
-    # construction-time validation (raises ConfigError on inconsistency)
-    cfg.bracket()
-    cfg.second_bracket()
-    try:
-        cfg.s_list()
-    except ValueError as exc:
-        raise ConfigError(
-            f"bad s_list {merged['sweep.s_list']!r}: {exc}",
-            line=ghost["sweep.s_list"][1],
-            field="sweep.s_list",
-        ) from None
-    try:
-        cfg.cutoff()
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="cutoff") from exc
-    return cfg
+    canonical = "\n".join(f"{k}={values[k]}" for k in sorted(values) if k != "output.dir")
+    return RunConfig(
+        config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
+        out_dir=base_dir / values["output.dir"],
+        s_list=read("sweep.s_list", lambda v: tuple(_scale_list(t for t in v.split(",") if t.strip()))),
+        band_limit=read("intertwine.band_limit", _int_in(0)),
+        n_points=read("intertwine.n_points", _int_in(1)),
+        n_functions=read("intertwine.n_functions", _int_in(1, len(TEST_BASKET))),
+        _brackets=(b1, b2),
+        _profile=profile,
+        _spec=spec,
+    )
 
 
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
     if path is None:
-        return parse_config(DEFAULT_CONFIG_TEXT, base_dir=".", overrides=overrides)
+        return parse_config("", base_dir=".", overrides=overrides)
     p = Path(path)
     try:
         text = p.read_text()

@@ -68,6 +68,7 @@ __all__ = [
     "DegenerateNodesError",
     "FitIllConditionedError",
     "WorkerCountError",
+    "SamplerDimensionError",
     "resolve_workers",
     "preflight_theta_invariance",
     "integrate_a2",
@@ -151,6 +152,10 @@ class FitIllConditionedError(ValueError):
 
 class WorkerCountError(ValueError):
     """ISOPHASAL_THREADS is set to something other than a positive integer."""
+
+
+class SamplerDimensionError(ValueError):
+    """The bracket's m + k exceeds the dimensions the Sobol' sampler covers."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -373,7 +378,7 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     t_start = time.perf_counter()
     m, k = bracket.m, bracket.k
     if m + k > len(_JOE_KUO):
-        raise ValueError(
+        raise SamplerDimensionError(
             f"the Sobol' sampler covers at most {len(_JOE_KUO)} dimensions, got m + k = {m + k}"
         )
     rx = profile.x_radius

@@ -54,6 +54,7 @@ __all__ = [
     "laplacian",
     "IntertwineReport",
     "intertwine_residual",
+    "TEST_BASKET",
     "default_test_functions",
     "default_points",
 ]
@@ -469,22 +470,25 @@ def intertwine_residual(
     )
 
 
+# (frequency, x-monomial powers) of each of default_test_functions' functions
+TEST_BASKET = (
+    ((0, 0, 0), (1,)),
+    ((1, 0, 0), ()),
+    ((0, 1, 0), (0, 1)),
+    ((0, 0, 1), (1, 1)),
+    ((1, -1, 0), ()),
+    ((2, 0, 0), (0, 0, 1)),
+    ((0, 2, -1), ()),
+    ((1, 1, 1), (2,)),
+)
+
+
 def default_test_functions(m: int, k: int, profile: CutoffProfile) -> list[TestFunction]:
-    """Eight band-limited products with |Z|_inf <= 2 and varied radial envelopes."""
+    """One band-limited product per TEST_BASKET entry, |Z|_inf <= 2, with varied radial envelopes."""
     rx2 = 1.3 * profile.r1sq
     ru2 = 1.3 * (profile.r2sq / profile.s**2)
-    freqs_polys = [
-        ((0, 0, 0), (1,)),
-        ((1, 0, 0), ()),
-        ((0, 1, 0), (0, 1)),
-        ((0, 0, 1), (1, 1)),
-        ((1, -1, 0), ()),
-        ((2, 0, 0), (0, 0, 1)),
-        ((0, 2, -1), ()),
-        ((1, 1, 1), (2,)),
-    ]
     out = []
-    for j, (freq, powers) in enumerate(freqs_polys):
+    for j, (freq, powers) in enumerate(TEST_BASKET):
         freq = freq[:k] if k <= 3 else freq + (0,) * (k - 3)
         out.append(
             TestFunction(

@@ -84,7 +84,7 @@ class PsiDerivs(NamedTuple):
 class CutoffProfile:
     """Smooth compactly supported cutoff phi(t1, t2) with closed-form partials.
 
-    The only implemented kind is the product of bumps
+    The profile is the product of bumps
 
         phi(t1, t2) = amplitude * b(t1 / r1sq) * b(s^2 t2 / r2sq),
 
@@ -98,11 +98,8 @@ class CutoffProfile:
     r2sq: float
     amplitude: float = 1.0
     s: float = 1.0
-    kind: str = "bump_product"
 
     def __post_init__(self):
-        if self.kind != "bump_product":
-            raise ValueError(f"unknown cutoff kind {self.kind!r}")
         for name in ("r1sq", "r2sq", "s"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):

@@ -25,3 +25,13 @@ def test_traced_functions_exist(monkeypatch):
         assert callable(fn), f"{name}: {owner.__name__}.{attr} is missing"
     # the span counts laplacian's points from positional argument 3
     assert list(inspect.signature(intertwine.laplacian).parameters)[3] == "pts"
+
+
+def test_workloads_build_at_smoke_sizes(monkeypatch):
+    # constructors only: they build their inputs through the config layer
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        workload(0, workloads.SMOKE[name])

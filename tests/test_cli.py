@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isophasal.brackets import bracket_to_text, builtin_bracket
+from isophasal.brackets import Bracket, bracket_to_text, builtin_bracket
 from isophasal.cli import main
 from isophasal.config import ConfigError, load_config, parse_config
+from isophasal.intertwine import TEST_BASKET
 
 FAST_QUAD = "quadrature.nodes = 2048\nquadrature.replicates = 3\nquadrature.preflight = false\n"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -32,7 +33,7 @@ def test_defaults_parse():
     assert cfg.bracket().m == 6
     assert cfg.second_bracket() is None
     assert cfg.quadrature().n_nodes == 100_000
-    assert cfg.s_list() == [1.0, 2.0, 4.0, 8.0, 16.0]
+    assert cfg.s_list == (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
 def test_parse_unknown_key_has_line():
@@ -51,17 +52,60 @@ def test_parse_bad_value_has_line_and_field():
     assert err.value.field == "quadrature.nodes"
 
 
-def test_dimension_mismatch_rejected(tmp_path):
-    small = np.zeros((2, 4, 4))
-    small[0, 0, 1] = 1.0
-    small[0, 1, 0] = -1.0
-    from isophasal.brackets import Bracket
+@pytest.mark.parametrize("key, value", [
+    ("cutoff.r1sq", "nan"),
+    ("cutoff.r2sq", "0"),
+    ("cutoff.amplitude", "-0.5"),
+    ("cutoff.s", "inf"),
+    ("cutoff.s", "wide"),
+    ("quadrature.nodes", "0"),
+    ("quadrature.nodes", str(2**30 + 1)),
+    ("quadrature.replicates", "1"),
+    ("quadrature.seed", "-1"),
+    ("quadrature.seed", "1.5"),
+    ("quadrature.preflight", "maybe"),
+    ("intertwine.band_limit", "-1"),
+    ("intertwine.n_points", "0"),
+    ("intertwine.n_functions", "0"),
+    ("sweep.s_list", "1,2,nan,8,16"),
+])
+def test_bad_value_names_line_and_key(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"# a comment line\nbracket.builtin = cross1\n{key} = {value}\n")
+    assert (err.value.line, err.value.field) == (3, key)
+    assert "line 3" in str(err.value) and key in str(err.value)
 
+
+def test_n_functions_above_basket_rejected():
+    with pytest.raises(ConfigError) as err:
+        parse_config("intertwine.n_functions = 20\n")
+    assert (err.value.line, err.value.field) == (1, "intertwine.n_functions")
+    assert f"<= {len(TEST_BASKET)}" in str(err.value)
+    assert parse_config(f"intertwine.n_functions = {len(TEST_BASKET)}\n").n_functions == len(TEST_BASKET)
+
+
+def test_override_error_has_no_line():
+    # the file's line no longer holds the value that failed
+    with pytest.raises(ConfigError) as err:
+        parse_config("quadrature.nodes = 4096\n", overrides={"quadrature.nodes": "0"})
+    assert (err.value.line, err.value.field) == (None, "quadrature.nodes")
+
+
+def _two_dim_bracket(m):
+    tensor = np.zeros((2, m, m))
+    tensor[0, 0, 1] = 1.0
+    tensor[0, 1, 0] = -1.0
+    return Bracket(tensor)
+
+
+def test_dimension_mismatch_rejected(tmp_path):
+    small = _two_dim_bracket(4)
     path = tmp_path / "small.bracket"
-    path.write_text(bracket_to_text(Bracket(small)))
+    path.write_text(bracket_to_text(small))
     with pytest.raises(ConfigError) as err:
         parse_config(f"bracket.builtin = cross1\nbracket2.file = {path}\n", base_dir=tmp_path)
     assert "mismatch" in str(err.value)
+    assert (err.value.line, err.value.field) == (2, "bracket2.file")
 
 
 def test_bracket_file_round_trip(tmp_path):
@@ -69,6 +113,40 @@ def test_bracket_file_round_trip(tmp_path):
     path.write_text(bracket_to_text(builtin_bracket("cross2")))
     cfg = parse_config(f"bracket.file = {path.name}\nbracket.builtin =\n", base_dir=tmp_path)
     np.testing.assert_array_equal(cfg.bracket().tensor, builtin_bracket("cross2").tensor)
+
+
+def test_bracket_built_at_parse_time(tmp_path):
+    path = tmp_path / "b.bracket"
+    path.write_text(bracket_to_text(builtin_bracket("cross2")))
+    cfg = parse_config(f"bracket.file = {path.name}\n", base_dir=tmp_path)
+    b = cfg.bracket()
+    path.unlink()
+    assert cfg.bracket() is b
+    np.testing.assert_array_equal(b.tensor, builtin_bracket("cross2").tensor)
+
+
+def test_cli_reads_each_bracket_file_once(tmp_path, monkeypatch):
+    for name in ("cross1", "cross2"):
+        (tmp_path / f"{name}.bracket").write_text(bracket_to_text(builtin_bracket(name)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket.file = cross1.bracket\nbracket2.file = cross2.bracket\n"
+                   "intertwine.n_points = 1\nintertwine.n_functions = 1\n")
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **kw: reads.append(self.name) or read_text(self, *a, **kw))
+    assert main(["intertwine", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(reads) == ["cross1.bracket", "cross2.bracket", "run.cfg"]
+
+
+def test_config_hash_pinned():
+    # sha256 of the sorted key=value lines, output.dir left out; criterion 9's config
+    # is the one tests/test_acceptance.py runs
+    assert load_config(None).config_hash == "ea16183001309634"
+    criterion_9 = parse_config(
+        "quadrature.nodes = 8192\nquadrature.replicates = 3\nquadrature.preflight = false\n"
+        "intertwine.n_points = 4\nintertwine.n_functions = 2\nbracket2.builtin = cross2\n"
+    )
+    assert criterion_9.config_hash == "17a496b81d6987ff"
 
 
 def test_config_hash_ignores_output_dir():
@@ -182,6 +260,23 @@ def test_cli_bad_scale_list_exit_code(tmp_path, capsys, s_list):
     rc = main(["sweep", "--s-list", s_list, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "sweep.s_list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_nodes_above_sampler_limit_exit_code(tmp_path, capsys):
+    assert main(["a2", "--nodes", str(2**30 + 1), "--out", str(tmp_path / "out")]) == 2
+    assert "quadrature.nodes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["a2", "sweep"])
+def test_cli_too_many_dimensions_exit_code(tmp_path, capsys, command):
+    # m + k = 31 + 2 is one more than the Sobol' sampler's 32 dimensions
+    (tmp_path / "wide.bracket").write_text(bracket_to_text(_two_dim_bracket(31)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket.file = wide.bracket\n" + FAST_QUAD)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "m + k = 33" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

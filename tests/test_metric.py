@@ -27,8 +27,6 @@ def test_profile_validation():
         CutoffProfile(r1sq=math.inf, r2sq=1.0)  # infinite support rejected
     with pytest.raises(ValueError):
         CutoffProfile(r1sq=1.0, r2sq=1.0, amplitude=-0.5)
-    with pytest.raises(ValueError):
-        CutoffProfile(r1sq=1.0, r2sq=1.0, kind="gaussian")
 
 
 def test_psi_outside_support(reference_profile, rng):
