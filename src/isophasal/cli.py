@@ -9,7 +9,8 @@ Commands:
                 bracket is configured
     a2          second heat-trace coefficient of the configured metric
     sweep       a2 across the scale list plus the exponent-ladder fit (CSV)
-    intertwine  Laplacian intertwining residual for the configured pair
+    intertwine  Laplacian intertwining residual of bracket against bracket2;
+                without bracket2 it exits 2
     validate    oracle self-tests, frame-vs-oracle cross checks and the torus
                 equivariance of the metric
 
@@ -146,16 +147,15 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 def _cmd_intertwine(cfg: RunConfig) -> int:
     b1 = cfg.bracket()
     b2 = cfg.second_bracket()
-    pair_name = ["bracket", "bracket2"]
     if b2 is None:
-        b1, b2 = builtin_bracket("cross1"), builtin_bracket("cross2")
-        pair_name = ["cross1", "cross2"]
+        raise ConfigError("intertwine compares bracket with a second bracket: set bracket2.builtin or bracket2.file",
+                          field="bracket2")
     profile = cfg.cutoff()
     fns = intertwine.default_test_functions(b1.m, b1.k, profile)[: cfg.n_functions]
     pts = intertwine.default_points(b1.m, b1.k, profile, n_points=cfg.n_points, seed=cfg.quadrature().seed)
     rep = intertwine.intertwine_residual(b1, b2, profile, fns, pts, N=cfg.band_limit)
     rec = _stamp(cfg, {
-        "pair": pair_name, "N": rep.band_limit, "n_points": rep.n_points,
+        "pair": ["bracket", "bracket2"], "N": rep.band_limit, "n_points": rep.n_points,
         "max_residual": rep.max_residual, "truncation_tail": rep.truncation_tail,
         "residual_conj": rep.residual_conj, "residual_orth": rep.residual_orth,
         "n_conjugators": rep.n_conjugators,

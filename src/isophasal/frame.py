@@ -23,12 +23,17 @@ points, chunked to bound memory, and sits inside the quadrature inner loop of
 the heat invariant pipeline.
 
 What is materialised: c, its derivatives dc (only the that rows are nonzero)
-and Gamma, densely; the curvature only in the antisymmetric pair form
-R[(a<b), (g<d)] = Riem[a,b,g,d], P x P with P = n (n - 1) / 2, built straight
-from c and dc by curvature(); and Ric.  curvature_scalars, a2_integrand and
-frame_bundle all run that one contraction.  Only frame_bundle, meant for
-inspection and tests, also builds the dense frame derivatives dGamma and
-expands R into the dense Riem.
+and Gamma, densely; the curvature only on blocks of Riem by frame type
+(xhat, rhat, that).  Every bracket above has only that components, the
+horizontal/vertical split of a torus-invariant metric (O'Neill, Michigan
+Math. J. 13, 1966), so c is nonzero on 5 of its 27 type blocks and Gamma on
+11.  curvature() builds Riem on the 21 canonical type blocks (A <= B,
+G <= D, (A, B) <= (G, D)) that the pair symmetries reduce the 81 to, from
+small products of Gamma blocks and views of the that rows of dc, and reads
+Ric off those blocks.  curvature_scalars, a2_integrand and frame_bundle all
+run that one contraction.  Only frame_bundle, meant for inspection and
+tests, also builds the dense frame derivatives dGamma and expands the blocks
+into the dense Riem.
 
 Index layout: 0..m-1 xhat, m..m+k-1 rhat, m+k..m+2k-1 that.  Tensors are
 stored as c[n, gamma, alpha, beta] (gamma-component of [E_alpha, E_beta]),
@@ -40,11 +45,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .brackets import Bracket
 from .metric import CutoffProfile
@@ -52,38 +56,26 @@ from .metric import CutoffProfile
 __all__ = [
     "R_MIN_FACTOR",
     "DegeneratePointError",
-    "AllZeroSamplesError",
     "CouplingCoeffs",
     "FrameCurvature",
     "coupling_coeffs",
     "structure_constants",
     "christoffels",
     "christoffel_derivs",
-    "CurvatureTables",
-    "curvature_tables",
     "curvature",
     "curvature_scalars",
     "a2_constant",
     "a2_density",
     "a2_integrand",
     "frame_bundle",
-    "degree_probe",
-    "homogeneous_parts",
-    "degree_one_reference",
 ]
 
 R_MIN_FACTOR = 1e-6  # radii below R_MIN_FACTOR * (r-support radius) are degenerate
 _ENGINE_CHUNK = 128  # points per batch of curvature_scalars: bounds the engine's working set
-_TINY = 1e-300  # degree_probe skips samples below this magnitude as zero
-_PART_DEGREES = (-2, -1, 0, 1, 2)  # homogeneous degrees homogeneous_parts solves for
 
 
 class DegeneratePointError(ValueError):
     """A plane radius is too close to zero for the polar frame."""
-
-
-class AllZeroSamplesError(ValueError):
-    """Degree probe got only (numerically) zero samples."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,23 +130,25 @@ def coupling_coeffs(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: 
     v, p1, p2 = pd.value, pd.d1, pd.d2
     p11, p12, p22 = pd.d11, pd.d12, pd.d22
 
+    # each term is (phi partial * coordinate factors) * L or dL, multiplied left to right
+    px = p1[:, None] * x      # phi_1 x_j
+    pr = p2[:, None] * r      # phi_2 r_q
+    Lx = L[..., None]
+    Lxx = L[..., None, None]
     a = v[:, None, None] * L
-    ax = 2.0 * np.einsum("n,nj,nip->nipj", p1, x, L) + v[:, None, None, None] * dL[None]
-    ar = 2.0 * np.einsum("n,nq,nip->nipq", p2, r, L)
-
-    eye_m = np.eye(m)
-    eye_k = np.eye(k)
+    ax = 2.0 * (px[:, None, None, :] * Lx) + v[:, None, None, None] * dL[None]
+    ar = 2.0 * (pr[:, None, None, :] * Lx)
     axx = (
-        2.0 * np.einsum("n,jl,nip->nipjl", p1, eye_m, L)
-        + 4.0 * np.einsum("n,nj,nl,nip->nipjl", p11, x, x, L)
-        + 2.0 * np.einsum("n,nj,ipl->nipjl", p1, x, dL)
-        + 2.0 * np.einsum("n,nl,ipj->nipjl", p1, x, dL)
+        2.0 * ((p1[:, None, None] * np.eye(m))[:, None, None] * Lxx)
+        + 4.0 * (((p11[:, None] * x)[:, :, None] * x[:, None, :])[:, None, None] * Lxx)
+        + 2.0 * (px[:, None, None, :, None] * dL[None, :, :, None, :])
+        + 2.0 * (px[:, None, None, None, :] * dL[None, :, :, :, None])
     )
-    axr = 4.0 * np.einsum("n,nj,nq,nip->nipjq", p12, x, r, L) + 2.0 * np.einsum(
-        "n,nq,ipj->nipjq", p2, r, dL
+    axr = 4.0 * (((p12[:, None] * x)[:, :, None] * r[:, None, :])[:, None, None] * Lxx) + 2.0 * (
+        pr[:, None, None, None, :] * dL[None, :, :, :, None]
     )
-    arr = 2.0 * np.einsum("n,qw,nip->nipqw", p2, eye_k, L) + 4.0 * np.einsum(
-        "n,nq,nw,nip->nipqw", p22, r, r, L
+    arr = 2.0 * ((p2[:, None, None] * np.eye(k))[:, None, None] * Lxx) + 4.0 * (
+        ((p22[:, None] * r)[:, :, None] * r[:, None, :])[:, None, None] * Lxx
     )
     return CouplingCoeffs(a=a, ax=ax, ar=ar, axx=axx, axr=axr, arr=arr)
 
@@ -232,125 +226,223 @@ def christoffel_derivs(dc: np.ndarray) -> np.ndarray:
     return out
 
 
-_PAIR_BLOCK = 8  # points per block of curvature(): keeps the n^4 quadratic product in cache
+# Frame types in index order: xhat (m of them), rhat (k), that (k).
+_XHAT, _RHAT, _THAT = 0, 1, 2
+# (gamma, alpha, beta) type blocks where c can be nonzero: its that rows only
+_C_TYPES = frozenset({
+    (_THAT, _XHAT, _XHAT), (_THAT, _RHAT, _XHAT), (_THAT, _XHAT, _RHAT),
+    (_THAT, _RHAT, _THAT), (_THAT, _THAT, _RHAT),
+})
+# ... and where Gamma can be: 11 of 27.  Gamma[g,a,b] = (c[g,b,a] + c[b,g,a] + c[a,g,b]) / 2,
+# except Gamma[that, that, rhat], where c[that, rhat, that] + c[that, that, rhat] = 0
+_GAMMA_TYPES = frozenset(
+    (g, a, b) for g in range(3) for a in range(3) for b in range(3)
+    if {(g, b, a), (b, g, a), (a, g, b)} & _C_TYPES
+) - {(_THAT, _THAT, _RHAT)}
+_PAIR_TYPES = ((_XHAT, _XHAT), (_XHAT, _RHAT), (_XHAT, _THAT), (_RHAT, _RHAT), (_RHAT, _THAT), (_THAT, _THAT))
+# the 21 canonical blocks (A <= B, G <= D, (A, B) <= (G, D)); the pair symmetries give the other 60
+_RIEM_TYPES = tuple(p + q for i, p in enumerate(_PAIR_TYPES) for q in _PAIR_TYPES[i:])
+# E_g Gamma[a,b,d] - E_d Gamma[a,b,g] with E_e Gamma[x,y,z] = (dc[x,z,y,e] + dc[z,x,y,e] + dc[y,x,z,e]) / 2,
+# as (sign, indices of dc[., ., ., e])
+_DERIV_TERMS = ((1.0, "adbg"), (1.0, "dabg"), (1.0, "badg"), (-1.0, "agbd"), (-1.0, "gabd"), (-1.0, "bagd"))
+
+
+def _canonical(types: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], float]:
+    """(canonical block, axes, sign) with Riem over the type block `types` = sign * block.transpose(axes).
+
+    `axes` lists, per axis of the canonical block, which of a, b, g, d (0..3) it holds.
+    """
+    a, b, g, d = 0, 1, 2, 3
+    sign = 1.0
+    if types[a] > types[b]:
+        a, b, sign = b, a, -sign
+    if types[g] > types[d]:
+        g, d, sign = d, g, -sign
+    if (types[a], types[b]) > (types[g], types[d]):
+        a, b, g, d = g, d, a, b
+    axes = (a, b, g, d)
+    return tuple(types[i] for i in axes), axes, sign
+
+
+def _block_einsum(axes: tuple[int, ...], labels: str) -> str:
+    """einsum operand subscript of a canonical block whose axes hold Riem's a, b, g, d labelled `labels`."""
+    return "n" + "".join(labels[i] for i in axes)
 
 
 @dataclasses.dataclass(frozen=True)
-class CurvatureTables:
-    """Fixed index maps of the pair-form curvature contraction for one (m, k).
+class _BlockStep:
+    """How curvature() fills one canonical block, stored as [n, a, g, b, d]."""
 
-    Pairs (a < b) are numbered in row-major order, P = n (n - 1) / 2 of them,
-    and R[p, q] is stored flat at p * P + q.
-    """
+    types: tuple[int, ...]
+    shape: tuple[int, ...]   # (|A|, |G|, |B|, |D|)
+    quad: tuple | None       # ((A, G), rows, (B, D), rows): sum_mu Gamma[mu,a,g] Gamma[mu,b,d] as [a,g,b,d]
+    swap: tuple | None       # ((A, D), rows, (B, G), rows): sum_mu Gamma[mu,a,d] Gamma[mu,b,g] as [a,d,b,g]
+    swap_axes: tuple | None  # if A = B or G = D: the axes of quad that give swap as [a,g,b,d], instead of swap
+    cgamma: tuple | None     # ((A, B), that rows, (G, D)): Gamma[t,a,b]^T c[t,g,d] laid out [a,b,g,d]
+    deriv: tuple             # (sign, index into the that rows of dc, axes to [a, g, b, d]) per dc term
+    ricci: tuple             # ((A, C), einsum subscript, sign) per trace sum_e Riem[a,e,c,e] the block holds
 
-    pairs: np.ndarray       # (P,) flat index a * n + b of each pair
-    quad_plus: np.ndarray   # (P, P) flat [a, g, b, d] index into the quadratic product
-    quad_minus: np.ndarray  # (P, P) flat [a, d, b, g] index into the quadratic product
-    deriv: sparse.csr_array  # (P^2, k n n (m+k)) map from the that rows of dc to the E Gamma terms
-    ric_src: np.ndarray     # (n, n, n) flat pair-form index of Riem[a, g, b, g]
-    ric_sign: np.ndarray    # (n, n, n) its sign; zero where g = a or g = b
-    dense_src: np.ndarray   # (n, n, n, n) flat pair-form index of Riem[a, b, g, d]
-    dense_sign: np.ndarray  # (n, n, n, n) its sign; zero where a = b or g = d
+
+@dataclasses.dataclass(frozen=True)
+class _BlockPlan:
+    rows: dict               # (A, G) -> (lo, hi): the rows mu of Gamma[mu, a, g] that can be nonzero
+    c_blocks: tuple          # (G, D) blocks of c's that rows the c Gamma terms read
+    steps: tuple             # _BlockStep per canonical block that can be nonzero
 
 
 @functools.lru_cache(maxsize=None)
-def curvature_tables(m: int, k: int) -> CurvatureTables:
-    """Index maps of curvature() for frame dimensions (m, k), built once on first use.
-
-    Build them before forking worker processes so that the workers inherit
-    them instead of each rebuilding its own.
-    """
+def _block_plan(m: int, k: int) -> _BlockPlan:
+    """Which products, c Gamma terms and dc views fill each canonical Riem block at frame dimensions (m, k)."""
     n = m + 2 * k
-    mk = m + k
-    npair = n * (n - 1) // 2
-    pa, pb = np.triu_indices(n, 1)
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[pa, pb] = pair[pb, pa] = np.arange(npair)
-    idx = np.arange(n)
-    sign = np.sign(idx[None, :] - idx[:, None]).astype(float)  # +1 for a < b, -1 for a > b
-    a, b = pa[:, None], pb[:, None]  # row pair
-    g, d = pa[None, :], pb[None, :]  # column pair
-    # E_g Gamma[a,b,d] - E_d Gamma[a,b,g] with Gamma[a,b,d] = (c[a,d,b] + c[d,a,b] + c[b,a,d]) / 2;
-    # dc vanishes outside its that rows (first index >= m+k) and has m+k derivative directions
-    out = np.arange(npair * npair).reshape(npair, npair)
-    src, coef, dst = [], [], []
-    for s, e, (i, j, l) in (
-        (0.5, g, (a, d, b)), (0.5, g, (d, a, b)), (0.5, g, (b, a, d)),
-        (-0.5, d, (a, g, b)), (-0.5, d, (g, a, b)), (-0.5, d, (b, a, g)),
-    ):
-        i, j, l, e = np.broadcast_arrays(i, j, l, e)
-        live = (i >= mk) & (e < mk)
-        src.append((((i[live] - mk) * n + j[live]) * n + l[live]) * mk + e[live])
-        coef.append(np.full(src[-1].shape, s))
-        dst.append(out[live])
-    deriv = sparse.csr_array(
-        (np.concatenate(coef), (np.concatenate(dst), np.concatenate(src))),
-        shape=(npair * npair, k * n * n * mk),
-    )  # duplicate entries are summed on conversion
-    deriv.eliminate_zeros()
-    A, B, G = np.ix_(idx, idx, idx)
-    A4, B4, G4, D4 = np.ix_(idx, idx, idx, idx)
-    tables = CurvatureTables(
-        pairs=pa * n + pb,
-        quad_plus=((a * n + g) * n + b) * n + d,
-        quad_minus=((a * n + d) * n + b) * n + g,
-        deriv=deriv,
-        ric_src=pair[A, G] * npair + pair[B, G],
-        ric_sign=sign[A, G] * sign[B, G],
-        dense_src=pair[A4, B4] * npair + pair[G4, D4],
-        dense_sign=sign[A4, B4] * sign[G4, D4],
-    )
-    for field in dataclasses.fields(tables):  # every caller shares the cached arrays
-        value = getattr(tables, field.name)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return tables
+    edge = (0, m, m + k, n)
+    span = tuple(slice(edge[t], edge[t + 1]) for t in range(3))
+    width = (m, k, k)
+    mu_types: dict[tuple[int, int], set[int]] = {}
+    for mu, a, g in _GAMMA_TYPES:
+        mu_types.setdefault((a, g), set()).add(mu)
+    rows = {ag: (edge[min(mus)], edge[max(mus) + 1]) for ag, mus in mu_types.items()}
+
+    def product(ag, bd):
+        common = mu_types.get(ag, set()) & mu_types.get(bd, set())
+        if not common:
+            return None
+        lo, hi = edge[min(common)], edge[max(common) + 1]
+        return ag, slice(lo - rows[ag][0], hi - rows[ag][0]), bd, slice(lo - rows[bd][0], hi - rows[bd][0])
+
+    # Ric[a,c] = sum_e Riem[a,e,c,e] over the type blocks A <= C, each (A, E, C, E) read off its canonical block
+    traces: dict[tuple[int, ...], list] = {}
+    for A, C in _PAIR_TYPES:
+        for E in range(3):
+            block, axes, sign = _canonical((A, E, C, E))
+            traces.setdefault(block, []).append(((A, C), _block_einsum(axes, "aece") + "->nac", sign))
+    steps = []
+    for types in _RIEM_TYPES:
+        A, B, G, D = types
+        of = dict(zip("abgd", types))
+        cgamma = None
+        if (A, B, _THAT) in _GAMMA_TYPES and (_THAT, G, D) in _C_TYPES:
+            lo = rows[A, B][0]
+            cgamma = ((A, B), slice(edge[_THAT] - lo, n - lo), (G, D))
+        deriv = []
+        for sign, idx in _DERIV_TERMS:
+            t = tuple(of[x] for x in idx)
+            if t[0] == _THAT and t[3] != _THAT and t[:3] in _C_TYPES:
+                index = (slice(None), slice(None)) + tuple(span[x] for x in t[1:])
+                deriv.append((sign, index, (0,) + tuple(1 + idx.index(x) for x in "agbd")))
+        quad, swap, swap_axes = product((A, G), (B, D)), product((A, D), (B, G)), None
+        if quad and (A == B or G == D):
+            swap, swap_axes = None, (0, 3, 2, 1, 4) if A == B else (0, 1, 4, 3, 2)
+        step = _BlockStep(
+            types=types, shape=(width[A], width[G], width[B], width[D]),
+            quad=quad, swap=swap, swap_axes=swap_axes, cgamma=cgamma, deriv=tuple(deriv),
+            ricci=tuple(traces.get(types, ())),
+        )
+        if step.quad or step.swap or step.cgamma or step.deriv:
+            steps.append(step)
+    c_blocks = tuple(sorted({step.cgamma[2] for step in steps if step.cgamma}))
+    return _BlockPlan(rows=rows, c_blocks=c_blocks, steps=tuple(steps))
+
+
+def _gamma_product(gam: dict, spec: tuple, out: np.ndarray) -> np.ndarray:
+    """sum_mu Gamma[mu, x, y] Gamma[mu, z, w] as an (N, x y, z w) matrix in `out`, over the rows `spec` names."""
+    xy, rows_xy, zw, rows_zw = spec
+    left, right = gam[xy][:, rows_xy], gam[zw][:, rows_zw]
+    return np.matmul(left.transpose(0, 2, 1), right, out=out.reshape(len(left), left.shape[2], right.shape[2]))
 
 
 def curvature(
     Gamma: np.ndarray, c: np.ndarray, dc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair-form Riemann tensor, Ricci and scalar curvature at a batch of points.
+) -> tuple[dict[tuple[int, ...], np.ndarray], np.ndarray, np.ndarray]:
+    """Riemann tensor on its canonical frame-type blocks, Ricci and scalar curvature at a batch of points.
 
     Riem[a,b,g,d] = sum_mu (Gamma[a,mu,g] Gamma[mu,b,d] - Gamma[a,mu,d] Gamma[mu,b,g]
                             - c[mu,g,d] Gamma[a,b,mu])
                     + E_g(Gamma[a,b,d]) - E_d(Gamma[a,b,g])
     with Ric[a,b] = sum_g Riem[a,g,b,g] and tau the trace of Ric.
 
-    Returns R (N, P, P) with R[p, q] = Riem[a,b,g,d] over the pairs
-    p = (a < b), q = (g < d), P = n (n - 1) / 2, so that |Riem|^2 = 4 sum R^2;
-    Ric (N, n, n); tau (N,).  Built block by block from c and dc: the quadratic
-    terms are one batched matmul whose n^4 product (per block, in cache) is
-    read by two fixed gathers; the c Gamma term is a rank-k product, since c
-    vanishes outside its k that rows; the frame-derivative terms are one fixed
-    sparse map from the that rows of dc.  Neither the dense dGamma nor the
-    dense n^4 Riem is materialised.
+    Returns R, Ric (N, n, n) and tau (N,).  R maps each canonical type block
+    (A, B, G, D) over xhat/rhat/that (A <= B, G <= D, (A, B) <= (G, D)) that
+    can be nonzero to Riem restricted to it, shape (N, |A|, |B|, |G|, |D|);
+    the pair symmetries give the rest (_canonical).  Gamma vanishes outside
+    11 of its 27 type blocks and c outside its that rows, so each block is
+    built from small products of Gamma blocks: the quadratic terms from the
+    rows Gamma[mu, a, g] = -Gamma[a, mu, g], the c Gamma term from
+    Gamma[a, b, t] = -Gamma[t, a, b] (c vanishes off its that rows), and the
+    frame-derivative terms from views of the that rows of dc.
     """
     npts, n = Gamma.shape[0], Gamma.shape[1]
     mk = dc.shape[-1]
     k = n - mk
-    t = curvature_tables(mk - k, k)
-    npair = t.pairs.size
-    # Gamma[a,mu,g] Gamma[mu,b,d] laid out [a,g,b,d]: (n^2 x n) @ (n x n^2)
-    left = np.ascontiguousarray(Gamma.transpose(0, 1, 3, 2)).reshape(npts, n * n, n)
-    right = Gamma.reshape(npts, n, n * n)
-    # Gamma[a,b,mu] and c[mu,g,d] over the pairs and the that rows mu
-    gam_ab = Gamma.reshape(npts, n * n, n)[:, t.pairs, mk:]
-    c_gd = c.reshape(npts, n, n * n)[:, mk:, t.pairs]
-    dc_that = dc[:, mk:].reshape(npts, -1)
-    R = np.empty((npts, npair, npair))
-    R_flat = R.reshape(npts, -1)
-    quad = np.empty((_PAIR_BLOCK, n * n, n * n))
-    tmp = np.empty((_PAIR_BLOCK, npair, npair))
-    for lo in range(0, npts, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, npts)
-        nb = hi - lo
-        q = np.matmul(left[lo:hi], right[lo:hi], out=quad[:nb]).reshape(nb, -1)
-        Rb = np.take(q, t.quad_plus, axis=1, out=R[lo:hi])
-        Rb -= np.take(q, t.quad_minus, axis=1, out=tmp[:nb])
-        Rb -= np.matmul(gam_ab[lo:hi], c_gd[lo:hi], out=tmp[:nb])
-        R_flat[lo:hi] += (t.deriv @ np.ascontiguousarray(dc_that[lo:hi].T)).T
-    Ric = np.einsum("nabg,abg->nab", np.take(R_flat, t.ric_src, axis=1), t.ric_sign)
+    m = mk - k
+    span = (slice(0, m), slice(m, mk), slice(mk, n))
+    plan = _block_plan(m, k)
+    # Gamma[mu, a, g] over the rows mu that can be nonzero, as a (mu, a g) matrix per point
+    gam = {
+        (A, G): np.ascontiguousarray(Gamma[:, lo:hi, span[A], span[G]]).reshape(npts, hi - lo, -1)
+        for (A, G), (lo, hi) in plan.rows.items()
+    }
+    c_that = {
+        (G, D): np.ascontiguousarray(c[:, mk:, span[G], span[D]]).reshape(npts, k, -1) for G, D in plan.c_blocks
+    }
+    dc_that = dc[:, mk:]
+    sizes = [math.prod(step.shape) * npts for step in plan.steps]
+    store = np.empty(sum(sizes))
+    scratch = np.empty(max(sizes))
+    R = {}
+    Ric = np.zeros((npts, n, n))
+    offset = 0
+    for step, size in zip(plan.steps, sizes):
+        a, g, b, d = step.shape
+        out = store[offset:offset + size].reshape(npts, a, g, b, d)  # Riem[a,b,g,d] at [n, a, g, b, d]
+        offset += size
+        tmp = scratch[:size]
+        # sum_mu Gamma[a,mu,g] Gamma[mu,b,d] - (g <-> d) = swap - quad, as Gamma[a,mu,g] = -Gamma[mu,a,g]
+        if step.swap_axes:
+            quad = _gamma_product(gam, step.quad, tmp).reshape(npts, a, g, b, d)
+            np.subtract(quad.transpose(step.swap_axes), quad, out=out)
+        elif step.quad:
+            _gamma_product(gam, step.quad, out)
+            if step.swap:
+                swap = _gamma_product(gam, step.swap, tmp).reshape(npts, a, d, b, g)
+                np.subtract(swap.transpose(0, 1, 4, 3, 2), out, out=out)
+            else:
+                np.negative(out, out=out)
+        elif step.swap:
+            swap = _gamma_product(gam, step.swap, tmp).reshape(npts, a, d, b, g)
+            np.copyto(out, swap.transpose(0, 1, 4, 3, 2))
+        written = bool(step.quad or step.swap)
+        # - sum_t c[t,g,d] Gamma[a,b,t] = sum_t Gamma[t,a,b] c[t,g,d], as c vanishes off its that rows
+        if step.cgamma:
+            ab, rows_t, gd = step.cgamma
+            p = np.matmul(gam[ab][:, rows_t].transpose(0, 2, 1), c_that[gd], out=tmp.reshape(npts, a * b, -1))
+            p = p.reshape(npts, a, b, g, d).transpose(0, 1, 3, 2, 4)
+            if written:
+                out += p
+            else:
+                np.copyto(out, p)
+            written = True
+        if step.deriv:
+            acc = tmp.reshape(npts, a, g, b, d) if written else out
+            for i, (sign, index, axes) in enumerate(step.deriv):
+                view = dc_that[index].transpose(axes)
+                if i == 0:
+                    np.multiply(view, sign, out=acc)  # a copy, negated for sign -1
+                elif sign > 0:
+                    acc += view
+                else:
+                    acc -= view
+            acc *= 0.5
+            if written:
+                out += acc
+        R[step.types] = riem = out.transpose(0, 1, 3, 2, 4)
+        for (A, C), subscript, sign in step.ricci:
+            if sign > 0:
+                Ric[:, span[A], span[C]] += np.einsum(subscript, riem)
+            else:
+                Ric[:, span[A], span[C]] -= np.einsum(subscript, riem)
+    for A, C in _PAIR_TYPES:
+        if A != C:
+            Ric[:, span[C], span[A]] = Ric[:, span[A], span[C]].transpose(0, 2, 1)
     tau = np.einsum("naa->n", Ric)
     return R, Ric, tau
 
@@ -380,9 +472,26 @@ def a2_density(n: int, tau: np.ndarray, ric_sq: np.ndarray, riem_sq: np.ndarray)
     return a2_constant(n) * (5.0 * tau * tau - 2.0 * ric_sq + 2.0 * riem_sq)
 
 
-def _square_norms(R: np.ndarray, Ric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|Ric|^2 and |Riem|^2 = 4 sum R^2 (each pair-form entry stands for four Riem entries)."""
-    return np.einsum("nab,nab->n", Ric, Ric), 4.0 * np.einsum("npq,npq->n", R, R)
+def _square_norms(R: dict, Ric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|Ric|^2 and |Riem|^2, each canonical block of R counted once per type block of Riem it stands for."""
+    riem2 = 0.0
+    for (A, B, G, D), block in R.items():
+        copies = (2.0 if A < B else 1.0) * (2.0 if G < D else 1.0) * (2.0 if (A, B) != (G, D) else 1.0)
+        riem2 = riem2 + copies * np.einsum("nabgd,nabgd->n", block, block)
+    return np.einsum("nab,nab->n", Ric, Ric), riem2
+
+
+def _dense_riemann(R: dict, m: int, k: int) -> np.ndarray:
+    """The dense Riem[n, a, b, g, d], every type block expanded from its canonical block."""
+    n = m + 2 * k
+    span = (slice(0, m), slice(m, m + k), slice(m + k, n))
+    Riem = np.zeros((next(iter(R.values())).shape[0], n, n, n, n))
+    for types in itertools.product(range(3), repeat=4):
+        block, axes, sign = _canonical(types)
+        if block in R:
+            dense = np.einsum(_block_einsum(axes, "abgd") + "->nabgd", R[block])
+            Riem[(slice(None),) + tuple(span[t] for t in types)] = sign * dense
+    return Riem
 
 
 def curvature_scalars(
@@ -450,7 +559,7 @@ def a2_integrand(
 def frame_bundle(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> FrameCurvature:
     """Full tensor bundle at a (small) batch of points, for inspection and tests.
 
-    Runs the same contraction as curvature_scalars and expands its pair form
+    Runs the same contraction as curvature_scalars and expands its blocks
     into the dense Riem; dGamma is computed here only, for inspection.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -463,78 +572,7 @@ def frame_bundle(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.
     Gamma = christoffels(c)
     R, Ric, tau = curvature(Gamma, c, dc)
     ric2, riem2 = _square_norms(R, Ric)
-    t = curvature_tables(m, k)
-    Riem = np.take(R.reshape(R.shape[0], -1), t.dense_src, axis=1) * t.dense_sign
     return FrameCurvature(
-        c=c, Gamma=Gamma, dGamma=christoffel_derivs(dc), Riem=Riem, Ric=Ric,
+        c=c, Gamma=Gamma, dGamma=christoffel_derivs(dc), Riem=_dense_riemann(R, m, k), Ric=Ric,
         tau=tau, ric_sq=ric2, riem_sq=riem2, a2_integrand=a2_density(n, tau, ric2, riem2),
     )
-
-
-def degree_probe(
-    family: Callable[[float, np.ndarray, np.ndarray], float],
-    x: np.ndarray,
-    r: np.ndarray,
-    s_list: Sequence[float],
-) -> tuple[float, float]:
-    """Estimate d with f^s(x, r) = s^d f^1(x, s r) by a log-log least-squares fit.
-
-    family(s, x, r) evaluates the s-member of the scaling family at the point.
-    Returns (slope, fit residual).  Raises AllZeroSamplesError when the
-    reference values vanish.
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    logs, vals = [], []
-    for s in s_list:
-        fs = family(float(s), x, r)
-        f1 = family(1.0, x, s * r)
-        if abs(f1) < _TINY or abs(fs) < _TINY:
-            continue
-        logs.append(math.log(float(s)))
-        vals.append(math.log(abs(fs)) - math.log(abs(f1)))
-    if len(vals) < 2:
-        raise AllZeroSamplesError("family vanished at the probe point for the sampled scales")
-    A = np.column_stack([np.asarray(logs), np.ones(len(logs))])
-    coef, res, *_ = np.linalg.lstsq(A, np.asarray(vals), rcond=None)
-    resid = float(np.sqrt(res[0])) if res.size else 0.0
-    return float(coef[0]), resid
-
-
-def homogeneous_parts(
-    family: Callable[[float, np.ndarray, np.ndarray], float],
-    x: np.ndarray,
-    r: np.ndarray,
-) -> dict[int, float]:
-    """Split a finite scaling family into its homogeneous parts of degree -2..2 at (x, r).
-
-    If f^s = sum_d f_d^s with f_d^s(x, r) = s^d f_d^1(x, s r), then
-    F(s) := f^s(x, r/s) = sum_d s^d f_d^1(x, r): a polynomial in s whose
-    coefficients are exactly the homogeneous parts at scale one.  Solved by
-    least squares on a small Vandermonde system over the scales 1, 1.25, 1.5, ...
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    svals = 1.0 + 0.25 * np.arange(2 * len(_PART_DEGREES))
-    F = np.array([family(float(s), x, r / s) for s in svals])
-    V = np.stack([svals**d for d in _PART_DEGREES], axis=1)
-    coef, *_ = np.linalg.lstsq(V, F, rcond=None)
-    return {d: float(c) for d, c in zip(_PART_DEGREES, coef)}
-
-
-def degree_one_reference(
-    bracket: Bracket, profile: CutoffProfile, i: int, x: np.ndarray, r: np.ndarray
-) -> float:
-    """Closed form of the degree-one part of Riem[that_1, rhat_2, xhat_i, rhat_2].
-
-    Equals (1/2) d^2 a_{i1} / dr_2^2 * r_1
-         = (phi_2 + 2 r_2^2 phi_22)(|x|^2, |r|^2) <[x, e_i], Z_1> r_1,
-    with phi_2, phi_22 the partials of the cutoff in its second slot.  This
-    component is a purely degree-one family, nonvanishing because a smooth
-    compactly supported cutoff cannot be linear in its second argument.
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    pd = profile.value_and_derivs(np.array([x @ x]), np.array([r @ r]))
-    L_i1 = float(np.dot(x, bracket.tensor[0, :, i]))
-    return float((pd.d2[0] + 2.0 * r[1] ** 2 * pd.d22[0]) * L_i1 * r[0])

@@ -317,7 +317,7 @@ def _worker_malloc_policy() -> None:
 
 
 @contextlib.contextmanager
-def _node_pool(bracket: Bracket, n_nodes: int, workers: int):
+def _node_pool(n_nodes: int, workers: int):
     """One fork pool for every slice of an integrate_a2 call, or None when the slices run in process.
 
     Each worker runs _worker_malloc_policy first, so engine batches reuse
@@ -327,7 +327,6 @@ def _node_pool(bracket: Bracket, n_nodes: int, workers: int):
     if workers <= 1 or n_nodes <= _TASK_CHUNK:
         yield None
         return
-    frame.curvature_tables(bracket.m, bracket.k)  # built once here, inherited by the workers
     with get_context("fork").Pool(processes=workers, initializer=_worker_malloc_policy) as pool:
         yield pool
 
@@ -389,7 +388,7 @@ def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec)
     vol_box = (2.0 * rx) ** m * rr**k
     rep_values = []
     inside_fracs = []
-    with _node_pool(bracket, spec.n_nodes, workers) as pool:
+    with _node_pool(spec.n_nodes, workers) as pool:
         for rep in range(spec.n_replicates):
             box = _sample_box(spec, rep, m + k)
             x = (2.0 * box[:, :m] - 1.0) * rx

@@ -33,13 +33,10 @@ __all__ = [
     "CutoffProfile",
     "PsiDerivs",
     "psi",
-    "vertical_field",
     "coupling_matrix",
     "metric_at",
     "inverse_metric_at",
-    "is_euclidean_outside",
     "polar_to_cartesian",
-    "cartesian_to_polar",
     "plane_rotation",
 ]
 
@@ -157,21 +154,6 @@ def psi(profile: CutoffProfile, x: np.ndarray, u: np.ndarray) -> PsiDerivs:
     return profile.value_and_derivs(t1, t2)
 
 
-def vertical_field(Z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Infinitesimal torus action Z*_u: per plane p, Z_p J u_p with J = [[0,-1],[1,0]]."""
-    Z = np.asarray(Z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    squeeze = u.ndim == 1
-    u = np.atleast_2d(u)
-    k = Z.shape[-1]
-    if u.shape[-1] != 2 * k:
-        raise ValueError(f"u has {u.shape[-1]} components, expected {2 * k}")
-    out = np.empty_like(u)
-    out[:, 0::2] = -Z * u[:, 1::2]
-    out[:, 1::2] = Z * u[:, 0::2]
-    return out[0] if squeeze else out
-
-
 def coupling_matrix(bracket: Bracket, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """2k x m matrix K with K Y = [x, Y]*_u, batched to shape (N, 2k, m).
 
@@ -226,38 +208,6 @@ def inverse_metric_at(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u
     return Gi
 
 
-def is_euclidean_outside(
-    bracket: Bracket,
-    profile: CutoffProfile,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> bool:
-    """True iff G equals the identity exactly at sampled points outside the support."""
-    rng = np.random.default_rng(seed)
-    m, k = bracket.m, bracket.k
-    n = m + 2 * k
-    rx = profile.x_radius
-    ru = profile.u_radius
-    xs, us = [], []
-    for _ in range(n_samples):
-        mode = rng.integers(3)
-        x = rng.normal(size=m)
-        u = rng.normal(size=2 * k)
-        if mode == 0:  # |x| beyond support
-            x *= rx * rng.uniform(1.0, 3.0) / np.linalg.norm(x)
-            u *= ru * rng.uniform(0.0, 2.0) / np.linalg.norm(u)
-        elif mode == 1:  # |u| beyond support
-            x *= rx * rng.uniform(0.0, 2.0) / np.linalg.norm(x)
-            u *= ru * rng.uniform(1.0, 3.0) / np.linalg.norm(u)
-        else:
-            x *= rx * rng.uniform(1.0, 3.0) / np.linalg.norm(x)
-            u *= ru * rng.uniform(1.0, 3.0) / np.linalg.norm(u)
-        xs.append(x)
-        us.append(u)
-    G = metric_at(bracket, profile, np.array(xs), np.array(us))
-    return bool(np.max(np.abs(G - np.eye(n))) == 0.0)
-
-
 def polar_to_cartesian(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Map per-plane polar coordinates (r, theta), shapes (N, k), to u of shape (N, 2k)."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
@@ -266,14 +216,6 @@ def polar_to_cartesian(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     u[..., 0::2] = r * np.cos(theta)
     u[..., 1::2] = r * np.sin(theta)
     return u
-
-
-def cartesian_to_polar(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of polar_to_cartesian; theta in (-pi, pi], r >= 0."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    a = u[..., 0::2]
-    b = u[..., 1::2]
-    return np.hypot(a, b), np.arctan2(b, a)
 
 
 def plane_rotation(theta: np.ndarray) -> np.ndarray:

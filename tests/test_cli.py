@@ -237,6 +237,16 @@ def test_cli_intertwine(tmp_path):
     assert rec["n_conjugators"] == 5
 
 
+def test_cli_intertwine_needs_bracket2(tmp_path, capsys):
+    # a lone bracket is not silently checked against some other pair
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket.builtin = quaternion\n")
+    out = tmp_path / "out"
+    assert main(["intertwine", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'bracket2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validate(tmp_path):
     rc = main(["validate", "--out", str(tmp_path / "out")])
     assert rc == 0

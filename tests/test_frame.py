@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy
@@ -8,18 +10,20 @@ from isophasal.metric import CutoffProfile, polar_to_cartesian
 from isophasal import frame
 from conftest import (
     dense_scalars_reference,
+    random_bracket,
     frame_christoffel_oracle,
     frame_riemann_oracle,
     frame_vectors_cartesian,
 )
+from oracles import AllZeroSamplesError, degree_one_reference, degree_probe, homogeneous_parts
 
 M, K = 6, 3
 MK = M + K
 
 
-def interior_points(rng, n=10):
-    x = rng.uniform(-0.45, 0.45, size=(n, M))
-    r = rng.uniform(0.2, 0.5, size=(n, K))
+def interior_points(rng, n=10, m=M, k=K):
+    x = rng.uniform(-0.45, 0.45, size=(n, m))
+    r = rng.uniform(0.2, 0.5, size=(n, k))
     return x, r
 
 
@@ -189,11 +193,15 @@ def _negative_control():
     return Bracket(lam)
 
 
+RANDOM_SHAPES = [(6, 3), (5, 2), (4, 2)]
 PAIR_FORM_BRACKETS = {
     "cross1": lambda: builtin_bracket("cross1"),
     "cross2": lambda: builtin_bracket("cross2"),
     "quaternion": lambda: builtin_bracket("quaternion"),
     "control": _negative_control,
+} | {
+    f"random-{m}-{k}": lambda m=m, k=k: random_bracket(m, k, np.random.default_rng(10 * m + k))
+    for m, k in RANDOM_SHAPES
 }
 
 
@@ -203,7 +211,7 @@ def test_pair_form_scalars_match_dense_reference(name, scale, reference_profile,
     bracket = PAIR_FORM_BRACKETS[name]()
     profile = reference_profile.scaled(scale)
     rng = np.random.default_rng(11)
-    x, r = interior_points(rng, 20)
+    x, r = interior_points(rng, 20, bracket.m, bracket.k)
     r = r / scale  # the r-support shrinks with the scale
     ref = dense_scalars_reference(bracket, profile, x, r)
     for chunk in (1, 7, 128):
@@ -212,6 +220,27 @@ def test_pair_form_scalars_match_dense_reference(name, scale, reference_profile,
         for label, g, want in zip(("tau", "|Ric|^2", "|Riem|^2"), got, ref):
             rel = np.max(np.abs(g - want)) / np.max(np.abs(want))
             assert rel <= 1e-13, (label, chunk, rel)
+
+
+@pytest.mark.parametrize("m,k", RANDOM_SHAPES)
+def test_frame_tensors_vanish_off_their_type_blocks(m, k, reference_profile):
+    # curvature() skips every type block outside these sets: each must be exactly zero
+    rng = np.random.default_rng(7)
+    bracket = random_bracket(m, k, rng)
+    x, r = interior_points(rng, 20, m, k)
+    span = (slice(0, m), slice(m, m + k), slice(m + k, m + 2 * k))
+    cc = frame.coupling_coeffs(bracket, reference_profile, x, r)
+    c, dc = frame.structure_constants(cc, r)
+    Gamma = frame.christoffels(c)
+    assert len(frame._GAMMA_TYPES) == 11 and len(frame._C_TYPES) == 5
+    for types in itertools.product(range(3), repeat=3):
+        block = (slice(None),) + tuple(span[t] for t in types)
+        for name, tensor, live in (("Gamma", Gamma, frame._GAMMA_TYPES), ("c", c, frame._C_TYPES),
+                                   ("dc", dc, frame._C_TYPES)):
+            if types in live:
+                assert np.any(tensor[block] != 0.0), (name, types)  # the sets are not padded
+            else:
+                assert np.all(tensor[block] == 0.0), (name, types)
 
 
 @pytest.mark.parametrize("scale", [1.0, 16.0])
@@ -224,7 +253,7 @@ def test_zero_bracket_pair_form_flat(zero_bracket, reference_profile, scale, mon
     c, dc = frame.structure_constants(cc, r)
     R, Ric, tau = frame.curvature(frame.christoffels(c), c, dc)
     rounding = 1e-14 * np.max(np.abs(c)) ** 2  # curvature scales like c^2 (polar terms 1/r)
-    assert np.max(np.abs(R)) <= rounding
+    assert max(np.max(np.abs(block)) for block in R.values()) <= rounding
     assert np.max(np.abs(Ric)) <= rounding
     monkeypatch.setattr(frame, "_ENGINE_CHUNK", 7)
     tau, ric2, riem2 = frame.curvature_scalars(zero_bracket, profile, x, r)
@@ -234,8 +263,9 @@ def test_zero_bracket_pair_form_flat(zero_bracket, reference_profile, scale, mon
 
 @pytest.mark.parametrize("name", list(PAIR_FORM_BRACKETS))
 def test_riemann_symmetries_at_rounding(name, reference_profile, rng):
-    x, r = interior_points(rng)
-    R = frame.frame_bundle(PAIR_FORM_BRACKETS[name](), reference_profile, x, r).Riem
+    bracket = PAIR_FORM_BRACKETS[name]()
+    x, r = interior_points(rng, 10, bracket.m, bracket.k)
+    R = frame.frame_bundle(bracket, reference_profile, x, r).Riem
     scale = np.max(np.abs(R))
     assert np.max(np.abs(R + R.transpose(0, 2, 1, 3, 4))) <= 1e-12 * scale
     assert np.max(np.abs(R + R.transpose(0, 1, 2, 4, 3))) <= 1e-12 * scale
@@ -346,7 +376,7 @@ def test_degree_probe_lemma_values(cross1, reference_profile):
     ]
     for indexer, want in cases:
         fam = _bundle_family(cross1, reference_profile, indexer)
-        d, resid = frame.degree_probe(fam, X0, R0, S_LIST)
+        d, resid = degree_probe(fam, X0, R0, S_LIST)
         assert d == pytest.approx(want, abs=1e-8)
         assert resid <= 1e-8
 
@@ -355,7 +385,7 @@ def test_degree_probe_coupling_degree_zero(cross1, reference_profile):
     def fam(s, x, r):
         cc = frame.coupling_coeffs(cross1, reference_profile.scaled(s), x[None], r[None])
         return cc.a[0, 1, 0]
-    d, resid = frame.degree_probe(fam, X0, R0, S_LIST)
+    d, resid = degree_probe(fam, X0, R0, S_LIST)
     assert d == pytest.approx(0.0, abs=1e-10)
     assert resid <= 1e-10
 
@@ -364,8 +394,8 @@ def test_degree_probe_all_zero(zero_bracket, reference_profile):
     def fam(s, x, r):
         cc = frame.coupling_coeffs(zero_bracket, reference_profile.scaled(s), x[None], r[None])
         return cc.a[0, 1, 0]
-    with pytest.raises(frame.AllZeroSamplesError):
-        frame.degree_probe(fam, X0, R0, S_LIST)
+    with pytest.raises(AllZeroSamplesError):
+        degree_probe(fam, X0, R0, S_LIST)
 
 
 def test_degree_one_curvature_component(cross1, reference_profile):
@@ -375,8 +405,8 @@ def test_degree_one_curvature_component(cross1, reference_profile):
     r_pt = np.array([0.33, 0.41, 0.24])
     fam = _bundle_family(cross1, reference_profile,
                          lambda fb: fb.Riem[0, MK, M + 1, i, M + 1])
-    parts = frame.homogeneous_parts(fam, X0, r_pt)
-    ref = frame.degree_one_reference(cross1, reference_profile, i, X0, r_pt)
+    parts = homogeneous_parts(fam, X0, r_pt)
+    ref = degree_one_reference(cross1, reference_profile, i, X0, r_pt)
     assert parts[1] == pytest.approx(ref, rel=1e-6)
     for d in (-2, -1, 0, 2):
         assert abs(parts[d]) <= 1e-8 * abs(parts[1])
@@ -395,6 +425,6 @@ def test_degree_one_reference_has_phi22_structure(cross1, reference_profile):
     L = float(np.dot(X0, cross1.tensor[0, :, i]))
     phi2_part = float(pd.d2[0]) * L * r_pt[0]
     phi22_part = 2.0 * r_pt[1] ** 2 * float(pd.d22[0]) * L * r_pt[0]
-    ref = frame.degree_one_reference(cross1, reference_profile, i, X0, r_pt)
+    ref = degree_one_reference(cross1, reference_profile, i, X0, r_pt)
     assert ref == pytest.approx(phi2_part + phi22_part, rel=1e-12)
     assert phi22_part != 0.0  # the cutoff cannot be linear in its second slot

@@ -131,6 +131,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # no module of the package imports scipy at run time
+    src = str(Path(isophasal.__file__).resolve().parents[1])
+    code = "import isophasal.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_zero_bracket_integral(zero_bracket, reference_profile):
     res = integrate_a2(zero_bracket, reference_profile, SMALL)
     assert abs(res.value) < 1e-22
@@ -211,7 +220,7 @@ def test_pool_workers_reuse_their_heap(cross1, reference_profile):
     # glibc's default dynamic thresholds hand each engine batch back to the OS:
     # about 6 faults per point and pass; the worker policy reuses the heap
     x, r = _support_points(reference_profile, 1000)
-    with heat._node_pool(cross1, 10 * heat._TASK_CHUNK, 2) as pool:
+    with heat._node_pool(10 * heat._TASK_CHUNK, 2) as pool:
         faults = pool.apply(_engine_minor_faults, ((cross1.tensor, reference_profile, x, r),))
     assert faults < x.shape[0], faults
 

@@ -8,16 +8,14 @@ from hypothesis import given, settings, strategies as st
 from isophasal.brackets import builtin_bracket
 from isophasal.metric import (
     CutoffProfile,
-    cartesian_to_polar,
     coupling_matrix,
     inverse_metric_at,
-    is_euclidean_outside,
     metric_at,
     plane_rotation,
     polar_to_cartesian,
     psi,
-    vertical_field,
 )
+from oracles import cartesian_to_polar, is_euclidean_outside, vertical_field
 
 
 def test_profile_validation():
