@@ -130,7 +130,7 @@ def frame_riemann_oracle(bracket, profile, pt: np.ndarray, scheme: FDScheme) -> 
 def dense_curvature_reference(Gamma: np.ndarray, dGamma: np.ndarray, c: np.ndarray):
     """Dense Riem[n,a,b,g,d], Ric and tau from Gamma, its frame derivatives and c.
 
-    The engine's earlier contraction, kept as a reference for the pair form:
+    The engine's earlier contraction, kept as the reference for curvature()'s blocks:
     Riem[a,b,g,d] = sum_mu (Gamma[a,mu,g] Gamma[mu,b,d] - Gamma[a,mu,d] Gamma[mu,b,g]
                             - c[mu,g,d] Gamma[a,b,mu])
                     + E_g(Gamma[a,b,d]) - E_d(Gamma[a,b,g]),
