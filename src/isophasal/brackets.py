@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10  # centralizer_dim: singular values below this fraction of the largest are null
-_SPECTRUM_TOL = 1e-10  # conjugator: spectra further apart than this admit no conjugator
+_SPECTRUM_TOL = 1e-10  # conjugator, check_isospectral: spectra further apart than this admit no conjugator
+_ISOSPECTRAL_SAMPLES = 100  # check_isospectral: random unit directions Z, besides the coordinate axes
 _KERNEL_FLOOR = 1e-8  # canonical_skew_frame: |S v| below this fraction of mu_max is kernel
 
 
@@ -75,9 +76,6 @@ class Bracket:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Evaluate [x, y] in R^k."""
         return np.einsum("pij,i,j->p", self.tensor, np.asarray(x, float), np.asarray(y, float))
-
-    def jmap(self, Z: np.ndarray) -> np.ndarray:
-        return jmap(self, Z)
 
     def jmaps(self) -> np.ndarray:
         """Stack of j(Z_p) for the standard basis, shape (k, m, m)."""
@@ -128,15 +126,11 @@ class IsospectralReport:
         return self.isospectral
 
 
-def check_isospectral(
-    b1: Bracket,
-    b2: Bracket,
-    n_samples: int = 100,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> IsospectralReport:
-    """Compare spectra of j1(Z), j2(Z) over the unit sphere plus coordinate axes.
+def check_isospectral(b1: Bracket, b2: Bracket, seed: int = 0) -> IsospectralReport:
+    """Compare spectra of j1(Z), j2(Z) over the coordinate axes plus _ISOSPECTRAL_SAMPLES seeded unit vectors.
 
+    The pair is isospectral when no sampled spectra differ by more than
+    _SPECTRUM_TOL, the tolerance conjugator uses for the same decision.
     Spectral equality of skew matrices at a given Z is equivalent to the
     existence of an orthogonal conjugator at that Z; by linearity of j in Z
     the unit sphere suffices.
@@ -145,14 +139,14 @@ def check_isospectral(
         raise ValueError(f"dimension mismatch: ({b1.m},{b1.k}) vs ({b2.m},{b2.k})")
     rng = np.random.default_rng(seed)
     samples = list(np.eye(b1.k))
-    v = rng.normal(size=(n_samples, b1.k))
+    v = rng.normal(size=(_ISOSPECTRAL_SAMPLES, b1.k))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     samples.extend(v)
     max_dev = 0.0
     for Z in samples:
         dev = float(np.max(np.abs(spectrum(b1, Z) - spectrum(b2, Z))))
         max_dev = max(max_dev, dev)
-    return IsospectralReport(max_dev <= tol, max_dev, len(samples), tol)
+    return IsospectralReport(max_dev <= _SPECTRUM_TOL, max_dev, len(samples), _SPECTRUM_TOL)
 
 
 def canonical_skew_frame(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,9 @@ Commands:
     brackets    isospectrality / centralizer / fingerprint report for the
                 configured pair, or for the built-in triple when no second
                 bracket is configured
-    a2          second heat-trace coefficient of the configured metric
+    a2          second heat-trace coefficient of the configured metric; with
+                bracket2 also of the second metric under the same nodes, plus
+                the pair test (isospectral, and a2 equal within 3 sigma)
     sweep       a2 across the scale list plus the exponent-ladder fit (CSV)
     intertwine  Laplacian intertwining residual of bracket against bracket2;
                 without bracket2 it exits 2
@@ -108,11 +110,27 @@ def _a2_record(cfg: RunConfig, res: heat.QuadratureResult) -> dict:
 
 
 def _cmd_a2(cfg: RunConfig) -> int:
-    res = heat.integrate_a2(cfg.bracket(), cfg.cutoff(), cfg.quadrature())
-    _write_jsonl(cfg.out_dir / "a2.jsonl", [_a2_record(cfg, res)])
-    print(f"a2 = {res.value:.6e} +- {res.std_error:.2e} "
-          f"({res.n_nodes} nodes x {res.n_replicates} replicates, {res.wall_time:.1f}s)")
-    return 0
+    b1, b2 = cfg.bracket(), cfg.second_bracket()
+    named = [("bracket", b1)] if b2 is None else [("bracket", b1), ("bracket2", b2)]
+    results, records = [], []
+    for name, b in named:
+        res = heat.integrate_a2(b, cfg.cutoff(), cfg.quadrature())
+        results.append(res)
+        records.append(_a2_record(cfg, res) if b2 is None else {**_a2_record(cfg, res), "bracket": name})
+        print(f"{name}: a2 = {res.value:.6e} +- {res.std_error:.2e} "
+              f"({res.n_nodes} nodes x {res.n_replicates} replicates, {res.wall_time:.1f}s)")
+    ok = True
+    if b2 is not None:
+        rep = heat.isophasal_consistency(*results)
+        isospectral = check_isospectral(b1, b2, seed=cfg.quadrature().seed).isospectral
+        records.append(_stamp(cfg, {"kind": "pair", "pair": ["bracket", "bracket2"],
+                                    "isospectral": isospectral, **dataclasses.asdict(rep)}))
+        print(f"bracket vs bracket2: {'isospectral' if isospectral else 'NOT isospectral'}, "
+              f"a2 difference {rep.difference:.2e} = {rep.within:.2f} sigma "
+              f"({'consistent' if rep.consistent else 'NOT consistent'} at 3 sigma)")
+        ok = isospectral and rep.consistent
+    _write_jsonl(cfg.out_dir / "a2.jsonl", records)
+    return 0 if ok else 1
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:

@@ -56,7 +56,6 @@ _DEFAULTS: dict[str, str] = {
     "quadrature.nodes": "100000",
     "quadrature.replicates": "8",
     "quadrature.seed": "0",
-    "quadrature.preflight": "true",
     "sweep.s_list": "1,2,4,8,16",
     "intertwine.band_limit": "2",
     "intertwine.n_points": "40",
@@ -65,20 +64,12 @@ _DEFAULTS: dict[str, str] = {
 }
 
 
-def _bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
-# (key, field, conversion) of the two dataclasses the config builds; their constructors check the values
+# (key, field, conversion) of the two dataclasses the config builds; their constructors check the values.
+# QuadratureSpec.preflight has no key: a configured run always certifies the metrics it integrates.
 _CUTOFF_FIELDS = (("cutoff.r1sq", "r1sq", float), ("cutoff.r2sq", "r2sq", float),
                   ("cutoff.amplitude", "amplitude", float), ("cutoff.s", "s", float))
 _QUADRATURE_FIELDS = (("quadrature.nodes", "n_nodes", int), ("quadrature.replicates", "n_replicates", int),
-                      ("quadrature.seed", "seed", int), ("quadrature.preflight", "preflight", _bool))
+                      ("quadrature.seed", "seed", int))
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -186,7 +177,6 @@ def parse_config(
     for key, name, convert in _QUADRATURE_FIELDS:
         spec = set_field(spec, key, name, convert)
 
-    values["quadrature.preflight"] = "true" if spec.preflight else "false"
     # the output path is not part of the run semantics: identical runs written
     # to different directories must produce identical artifact bytes
     canonical = "\n".join(f"{k}={values[k]}" for k in sorted(values) if k != "output.dir")

@@ -54,15 +54,12 @@ class ConventionMismatchError(AssertionError):
 
 @dataclasses.dataclass(frozen=True)
 class FDScheme:
-    """Central-difference scheme: step h, order 2 or 4, optional Richardson step-halving."""
+    """Fourth-order central-difference scheme: step h, optional Richardson step-halving."""
 
     h: float
-    order: int = 4
     richardson: bool = True
 
     def __post_init__(self):
-        if self.order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError(f"bad step {self.h}")
 
@@ -72,24 +69,21 @@ def default_scheme(profile: CutoffProfile) -> FDScheme:
     return FDScheme(h=1e-3 * max(profile.x_radius, profile.u_radius))
 
 
-_STENCILS = {
-    2: ((1.0, 0.5), (-1.0, -0.5)),
-    4: ((2.0, -1.0 / 12.0), (1.0, 8.0 / 12.0), (-1.0, -8.0 / 12.0), (-2.0, 1.0 / 12.0)),
-}
+# (offset in steps, weight) of the fourth-order central first difference
+_STENCIL = ((2.0, -1.0 / 12.0), (1.0, 8.0 / 12.0), (-1.0, -8.0 / 12.0), (-2.0, 1.0 / 12.0))
 
 
-def _first_derivative_fixed_h(fn, pts: np.ndarray, h: float, order: int) -> np.ndarray:
+def _first_derivative_fixed_h(fn, pts: np.ndarray, h: float) -> np.ndarray:
     npts, n = pts.shape
-    stencil = _STENCILS[order]
     shifted = []
     for d in range(n):
-        for c, _w in stencil:
+        for c, _w in _STENCIL:
             q = pts.copy()
             q[:, d] += c * h
             shifted.append(q)
     vals = fn(np.concatenate(shifted, axis=0))
-    vals = vals.reshape((n, len(stencil), npts) + vals.shape[1:])
-    w = np.asarray([w for _c, w in stencil])
+    vals = vals.reshape((n, len(_STENCIL), npts) + vals.shape[1:])
+    w = np.asarray([w for _c, w in _STENCIL])
     out = np.einsum("s,dsn...->nd...", w, vals) / h
     return out
 
@@ -101,11 +95,11 @@ def first_derivative(fn, pts: np.ndarray, scheme: FDScheme) -> np.ndarray:
     (N, n, ...) with the direction axis second.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d_h = _first_derivative_fixed_h(fn, pts, scheme.h, scheme.order)
+    d_h = _first_derivative_fixed_h(fn, pts, scheme.h)
     if not scheme.richardson:
         return d_h
-    d_h2 = _first_derivative_fixed_h(fn, pts, scheme.h / 2.0, scheme.order)
-    f = 2.0**scheme.order
+    d_h2 = _first_derivative_fixed_h(fn, pts, scheme.h / 2.0)
+    f = 2.0**4  # the stencil's order
     return (f * d_h2 - d_h) / (f - 1.0)
 
 
@@ -238,16 +232,18 @@ class ConformalCheckReport:
     ok: bool
 
 
-def validate_known(scheme: FDScheme | None = None, tol: float = 1e-5) -> ConformalCheckReport:
+def validate_known() -> ConformalCheckReport:
     """Check tau = -2 e^{-2f} (f_11 + f_22) pointwise for the conformal test metric.
+
+    The oracle runs at step 1e-3 with Richardson extrapolation; ok means a
+    pointwise error of at most 1e-5 and a sign-flip error below 1e-2.
 
     Establishes the sign convention end to end: at the origin the plateau is
     identically one, f = |x|^2, and tau = -8.  A sign flip of f flips tau to
     first order where f is small; that linearization is checked as well.
     Raises ConventionMismatchError if the computed sign disagrees.
     """
-    if scheme is None:
-        scheme = FDScheme(h=1e-3, order=4, richardson=True)
+    scheme = FDScheme(h=1e-3, richardson=True)
     rng = np.random.default_rng(42)
     pts = np.concatenate(
         [
@@ -283,5 +279,5 @@ def validate_known(scheme: FDScheme | None = None, tol: float = 1e-5) -> Conform
     tau_plus = scalar_invariants_fd(small_fn(1.0), small_pts, scheme).tau
     tau_minus = scalar_invariants_fd(small_fn(-1.0), small_pts, scheme).tau
     flip_err = float(np.max(np.abs(tau_plus + tau_minus)) / max(np.max(np.abs(tau_plus)), 1e-30))
-    ok = err <= tol and flip_err < 1e-2
+    ok = err <= 1e-5 and flip_err < 1e-2
     return ConformalCheckReport(max_abs_err=err, tau_at_origin=tau0, flip_linearity_err=flip_err, ok=ok)

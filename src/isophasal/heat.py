@@ -38,6 +38,9 @@ the default.  The arithmetic is the same either way.
 The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over SWEEP_DEGREES,
 on finite positive scales (at least five distinct, spanning at least 4x); the
 leading coefficient (exponent 2 - 2k) must come out positive for k <= 3.
+
+isophasal_consistency is the one pair test of the isophasal claim: two a2
+results agree when their difference is within 3 combined standard errors.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .brackets import Bracket, check_isospectral
+from .brackets import Bracket
 from .metric import CutoffProfile, plane_rotation
 from . import coord
 from . import frame
@@ -529,30 +532,23 @@ def sweep_s(
 
 @dataclasses.dataclass(frozen=True)
 class ConsistencyReport:
-    a2_first: QuadratureResult
-    a2_second: QuadratureResult
-    difference: float
-    combined_error: float
+    difference: float  # first.value - second.value
+    combined_error: float  # hypot of the two standard errors
     within: float  # |difference| / combined_error
-    consistent: bool
+    consistent: bool  # |difference| <= _CONSISTENCY_SIGMAS * combined_error
 
 
-def isophasal_consistency(
-    b1: Bracket,
-    b2: Bracket,
-    profile: CutoffProfile,
-    spec: QuadratureSpec,
-) -> ConsistencyReport:
-    """Equal-heat-invariant check for an isospectral bracket pair under one profile, at 3 sigma."""
-    rep = check_isospectral(b1, b2)
-    if not rep.isospectral:
-        raise ValueError(f"brackets are not isospectral (max spectral deviation {rep.max_deviation:g})")
-    r1 = integrate_a2(b1, profile, spec)
-    r2 = integrate_a2(b2, profile, spec)
-    diff = r1.value - r2.value
-    comb = math.hypot(r1.std_error, r2.std_error)
+def isophasal_consistency(first: QuadratureResult, second: QuadratureResult) -> ConsistencyReport:
+    """The pair test of two a2 results: equal within _CONSISTENCY_SIGMAS (3) combined standard errors.
+
+    The standard errors combine in quadrature, as for independent runs.  The
+    test compares values only: integrating the brackets, under one spec, and
+    deciding their isospectrality are the caller's.
+    """
+    diff = first.value - second.value
+    comb = math.hypot(first.std_error, second.std_error)
     within = abs(diff) / comb if comb > 0 else math.inf if diff else 0.0
     return ConsistencyReport(
-        a2_first=r1, a2_second=r2, difference=diff, combined_error=comb,
-        within=within, consistent=abs(diff) <= _CONSISTENCY_SIGMAS * comb,
+        difference=diff, combined_error=comb, within=within,
+        consistent=abs(diff) <= _CONSISTENCY_SIGMAS * comb,
     )

@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines as they
 complete.  The heavy quadrature fixtures are session scoped and shared.
 """
 
-import dataclasses
-import math
 import os
 import time
 
@@ -172,16 +170,11 @@ def test_criterion_6_a2_pipeline(a2_results):
     # nonvanishing at 5 sigma for each of the three isophasal metrics
     ratios = {name: abs(res.value) / res.std_error for name, res in a2_results.items()}
     nonzero_ok = all(ratio > 5.0 for ratio in ratios.values())
-    # pairwise equality within 3 combined standard errors
-    pair_ok = True
-    pair_sigmas = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ri, rj = a2_results[NAMES[i]], a2_results[NAMES[j]]
-            comb = math.hypot(ri.std_error, rj.std_error)
-            n_sigma = abs(ri.value - rj.value) / comb
-            pair_sigmas.append(n_sigma)
-            pair_ok &= n_sigma <= 3.0
+    # pairwise equality within 3 combined standard errors: the library's one pair test
+    pairs = [heat.isophasal_consistency(a2_results[NAMES[i]], a2_results[NAMES[j]])
+             for i in range(3) for j in range(i + 1, 3)]
+    pair_ok = all(rep.consistent for rep in pairs)
+    pair_sigmas = [rep.within for rep in pairs]
     # regression anchor from the first full-size computation
     res1 = a2_results["cross1"]
     anchor_ok = abs(res1.value - A2_ANCHOR) <= 1e-9 + 3.0 * res1.std_error
@@ -250,7 +243,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch, opened_pools):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "quadrature.nodes = 8192\nquadrature.replicates = 3\nquadrature.preflight = false\n"
+        "quadrature.nodes = 8192\nquadrature.replicates = 3\n"
         "intertwine.n_points = 4\nintertwine.n_functions = 2\nbracket2.builtin = cross2\n"
     )
     artifacts = ("a2.jsonl", "sweep.jsonl", "sweep.csv", "intertwine.jsonl", "brackets.jsonl")
@@ -260,7 +253,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch, opened_pools):
             cli_main([cmd, "--config", str(cfg), "--out", str(tmp_path / d)])
         if d == "o1":
             assert opened_pools == []
-    assert opened_pools == [2] * 6  # one a2 integration, five sweep scales
+    assert opened_pools == [2] * 7  # two a2 integrations (bracket, bracket2), five sweep scales
     identical = all(
         (tmp_path / "o1" / art).read_bytes() == (tmp_path / "o2" / art).read_bytes()
         for art in artifacts

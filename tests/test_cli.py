@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 
 from isophasal.brackets import Bracket, bracket_to_text, builtin_bracket
 from isophasal.cli import main
-from isophasal.config import ConfigError, load_config, parse_config
+from isophasal.config import _DEFAULTS, ConfigError, _parse_lines, load_config, parse_config
 from isophasal.intertwine import TEST_BASKET
 
-FAST_QUAD = "quadrature.nodes = 2048\nquadrature.replicates = 3\nquadrature.preflight = false\n"
+FAST_QUAD = "quadrature.nodes = 2048\nquadrature.replicates = 3\n"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -37,7 +38,7 @@ def test_defaults_parse():
 
 
 def test_parse_unknown_key_has_line():
-    for key in ("bogus.key", "quadrature.method"):
+    for key in ("bogus.key", "quadrature.method", "quadrature.preflight"):
         with pytest.raises(ConfigError) as err:
             parse_config(f"cutoff.r1sq = 1.0\n{key} = qmc\n")
         assert err.value.line == 2
@@ -63,7 +64,6 @@ def test_parse_bad_value_has_line_and_field():
     ("quadrature.replicates", "1"),
     ("quadrature.seed", "-1"),
     ("quadrature.seed", "1.5"),
-    ("quadrature.preflight", "maybe"),
     ("intertwine.band_limit", "-1"),
     ("intertwine.n_points", "0"),
     ("intertwine.n_functions", "0"),
@@ -141,12 +141,12 @@ def test_cli_reads_each_bracket_file_once(tmp_path, monkeypatch):
 def test_config_hash_pinned():
     # sha256 of the sorted key=value lines, output.dir left out; criterion 9's config
     # is the one tests/test_acceptance.py runs
-    assert load_config(None).config_hash == "ea16183001309634"
+    assert load_config(None).config_hash == "af6778ed80953455"
     criterion_9 = parse_config(
-        "quadrature.nodes = 8192\nquadrature.replicates = 3\nquadrature.preflight = false\n"
+        "quadrature.nodes = 8192\nquadrature.replicates = 3\n"
         "intertwine.n_points = 4\nintertwine.n_functions = 2\nbracket2.builtin = cross2\n"
     )
-    assert criterion_9.config_hash == "17a496b81d6987ff"
+    assert criterion_9.config_hash == "99dc82d34b5614a5"
 
 
 def test_config_hash_ignores_output_dir():
@@ -155,6 +155,15 @@ def test_config_hash_ignores_output_dir():
     assert c1.config_hash == c2.config_hash
     c3 = parse_config("quadrature.seed = 7\n")
     assert c3.config_hash != c1.config_hash
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = [b for b in readme.split("```")[1::2] if "\nbracket.builtin = " in "\n" + b]
+    _parse_lines(block)  # raises ConfigError on a key the config does not know
+    # a key may appear set or in a comment ("# or bracket.file = ..."), but always as "key ="
+    missing = [key for key in _DEFAULTS if not re.search(rf"(?<![\w.]){re.escape(key)} =", block)]
+    assert not missing, missing
 
 
 # --- commands -------------------------------------------------------------------
@@ -184,7 +193,7 @@ def test_cli_a2_schema(tmp_path):
     assert rec["a2"] > 0
     assert len(rec["inside_fractions"]) == 3
     assert rec["inside_fraction"] == float(np.mean(rec["inside_fractions"]))
-    assert rec["preflight_deviation"] is None  # preflight off in FAST_QUAD
+    assert rec["preflight_deviation"] < 1e-12  # the CLI always runs the preflight
 
 
 def test_cli_a2_deterministic(tmp_path, monkeypatch, opened_pools):
@@ -201,9 +210,57 @@ def test_cli_a2_deterministic(tmp_path, monkeypatch, opened_pools):
     assert b1 == b2
 
 
+def _without(rec, *keys):
+    return {k: v for k, v in rec.items() if k not in keys}
+
+
+def test_cli_a2_pair(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket2.builtin = quaternion\n" + FAST_QUAD)
+    assert main(["a2", "--config", str(cfg), "--out", str(tmp_path / "pair")]) == 0
+    first, second, pair = read_jsonl(tmp_path / "pair" / "a2.jsonl")
+    assert (first["bracket"], second["bracket"]) == ("bracket", "bracket2")
+    # each bracket's record is its lone run's record, tagged: one spec, one node set
+    for rec, builtin in ((first, "cross1"), (second, "quaternion")):
+        lone = tmp_path / builtin
+        lone.with_suffix(".cfg").write_text(f"bracket.builtin = {builtin}\n" + FAST_QUAD)
+        assert main(["a2", "--config", str(lone.with_suffix(".cfg")), "--out", str(lone)]) == 0
+        (lone_rec,) = read_jsonl(lone / "a2.jsonl")
+        assert _without(rec, "bracket", "config_hash") == _without(lone_rec, "config_hash")
+    assert pair["kind"] == "pair" and pair["pair"] == ["bracket", "bracket2"]
+    assert pair["isospectral"] and pair["consistent"]
+    assert pair["difference"] == first["a2"] - second["a2"]
+    assert pair["combined_error"] == float(np.hypot(first["stderr"], second["stderr"]))
+    assert pair["within"] == abs(pair["difference"]) / pair["combined_error"] <= 3.0
+    assert all(r["config_hash"] == first["config_hash"] and "seed" in r for r in (second, pair))
+    assert "bracket vs bracket2: isospectral" in capsys.readouterr().out
+
+
+def test_cli_a2_pair_not_isospectral_exits_1(tmp_path):
+    # twice cross1: its spectra double and its a2 about quadruples, 4.8 sigma off at these sizes
+    (tmp_path / "double.bracket").write_text(bracket_to_text(builtin_bracket("cross1").scaled(2.0)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket2.file = double.bracket\n" + FAST_QUAD)
+    assert main(["a2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    *brackets, pair = read_jsonl(tmp_path / "out" / "a2.jsonl")
+    assert [r["bracket"] for r in brackets] == ["bracket", "bracket2"]
+    assert not pair["isospectral"] and not pair["consistent"]
+
+
+def test_cli_a2_pair_deterministic(tmp_path, monkeypatch, opened_pools):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket2.builtin = quaternion\n" + FAST_QUAD)
+    for d, threads in (("o1", "1"), ("o2", "2")):
+        monkeypatch.setenv("ISOPHASAL_THREADS", threads)
+        assert main(["a2", "--config", str(cfg), "--nodes", "8192", "--out", str(tmp_path / d)]) == 0
+    assert opened_pools == [2, 2]  # one pool per bracket in the two-worker run
+    assert (tmp_path / "o1" / "a2.jsonl").read_bytes() == (tmp_path / "o2" / "a2.jsonl").read_bytes()
+
+
 def test_cli_sweep_outputs(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(FAST_QUAD.replace("preflight = false", "preflight = true"))
+    cfg.write_text(FAST_QUAD)
     main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
           "--s-list", "1,2,4,8,16"])
     csv_lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()

@@ -159,7 +159,7 @@ def test_frame_derivative_matches_analytic_dgamma(cross1, reference_profile):
         g = frame.frame_bundle(cross1, reference_profile, pts[:, :M], pts[:, M:]).Gamma
         return g[(slice(None), *comp)]
 
-    scheme = FDScheme(h=1e-5, order=4, richardson=False)
+    scheme = FDScheme(h=1e-5, richardson=False)
     fd = first_derivative(gamma_eval, np.concatenate([x0, r0])[None], scheme)[0]
     for delta in (0, 3, M, M + 2):
         analytic = fb.dGamma[0][comp + (delta,)]

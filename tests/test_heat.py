@@ -294,18 +294,34 @@ def test_stderr_decreases_with_doubling(cross1, reference_profile):
 
 
 def test_isophasal_consistency_pairs(cross1, cross2, quaternion, reference_profile):
-    rep = isophasal_consistency(cross1, cross2, reference_profile, SMALL)
+    r1, r2, r3 = (integrate_a2(b, reference_profile, SMALL) for b in (cross1, cross2, quaternion))
+    rep = isophasal_consistency(r1, r2)
     assert rep.consistent
     # shared seed, shared nodes: the two cross metrics agree node for node
     # (their integrands coincide pointwise up to rounding)
-    assert abs(rep.difference) <= 1e-14 * abs(rep.a2_first.value)
-    rep13 = isophasal_consistency(cross1, quaternion, reference_profile, SMALL)
+    assert abs(rep.difference) <= 1e-14 * abs(r1.value)
+    rep13 = isophasal_consistency(r1, r3)
     assert rep13.consistent
+    assert rep13.difference == r1.value - r3.value
+    assert rep13.combined_error == math.hypot(r1.std_error, r3.std_error)
+    assert rep13.within == abs(rep13.difference) / rep13.combined_error
 
 
-def test_isophasal_consistency_rejects_nonisospectral(cross1, reference_profile):
-    with pytest.raises(ValueError):
-        isophasal_consistency(cross1, cross1.scaled(2.0), reference_profile, SMALL)
+def test_isophasal_consistency_three_sigma_bound(cross1, reference_profile):
+    base = integrate_a2(cross1, reference_profile, SMALL)
+
+    def shifted(sigmas, std_error=base.std_error):
+        comb = math.hypot(base.std_error, std_error)
+        return dataclasses.replace(base, value=base.value + sigmas * comb, std_error=std_error)
+
+    assert isophasal_consistency(base, shifted(2.9)).consistent
+    assert not isophasal_consistency(base, shifted(3.1)).consistent
+    assert isophasal_consistency(shifted(-3.1), base).within == pytest.approx(3.1)
+    # no spread in either result: only exact equality is consistent
+    exact = dataclasses.replace(base, std_error=0.0)
+    assert isophasal_consistency(exact, exact).within == 0.0
+    off = isophasal_consistency(exact, dataclasses.replace(exact, value=2.0 * exact.value))
+    assert off.within == math.inf and not off.consistent
 
 
 def test_preflight_passes(cross1, cross2, quaternion, reference_profile):
@@ -356,10 +372,16 @@ def test_preflight_detects_theta_dependence(cross1, reference_profile, monkeypat
     assert err.value.worst > err.value.tol
 
 
-def test_consistency_certifies_second_bracket(cross1, cross2, reference_profile, monkeypatch):
-    _break_metric(monkeypatch, _coupling_defect, when=lambda bracket, profile: bracket is cross2)
+def test_consistency_certifies_second_bracket(cross2, reference_profile, monkeypatch, tmp_path):
+    # the CLI pair certifies each metric it integrates, bracket2's included
+    from isophasal.cli import main
+
+    _break_metric(monkeypatch, _coupling_defect, when=lambda bracket, profile: bracket == cross2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket2.builtin = cross2\nquadrature.nodes = 2048\nquadrature.replicates = 2\n")
     with pytest.raises(ThetaDependenceError):
-        isophasal_consistency(cross1, cross2, reference_profile, dataclasses.replace(SMALL, preflight=True))
+        main(["a2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_certifies_each_scale(cross1, reference_profile, monkeypatch):

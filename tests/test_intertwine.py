@@ -20,7 +20,7 @@ def sample_points(rng, n=6, lo=-0.4, hi=0.4):
 def test_testfunction_derivatives_match_fd(rng):
     pts = sample_points(rng)
     val, grad, hess = TF.value_grad_hess(pts)
-    scheme = FDScheme(h=1e-4, order=4, richardson=False)
+    scheme = FDScheme(h=1e-4, richardson=False)
     gfd = first_derivative(lambda q: TF(q), pts, scheme)
     np.testing.assert_allclose(grad, gfd, atol=1e-10)
     hfd = first_derivative(lambda q: TF.value_grad_hess(q)[1], pts, scheme)
@@ -338,7 +338,7 @@ def test_laplacian_flat_polar_phase(cross1, reference_profile, rng):
         return np.exp(1j * th @ Z)
 
     pt = np.concatenate([x0, polar_to_cartesian(r0[None], th0[None])[0]])[None]
-    lap = itw.laplacian(cross1, reference_profile, FDDerivatives(phase, FDScheme(h=1e-4, order=4, richardson=True)), pt)
+    lap = itw.laplacian(cross1, reference_profile, FDDerivatives(phase, FDScheme(h=1e-4, richardson=True)), pt)
     want = np.sum(Z**2 / r0**2) * phase(pt)
     np.testing.assert_allclose(lap, want, rtol=1e-5)
 
@@ -346,7 +346,7 @@ def test_laplacian_flat_polar_phase(cross1, reference_profile, rng):
 def test_laplacian_fd_vs_analytic(cross1, reference_profile, rng):
     pts = sample_points(rng, n=3)
     a = itw.laplacian(cross1, reference_profile, TF, pts)
-    scheme = FDScheme(h=1e-3 * max(reference_profile.x_radius, reference_profile.u_radius), order=4, richardson=False)
+    scheme = FDScheme(h=1e-3 * max(reference_profile.x_radius, reference_profile.u_radius), richardson=False)
     f = itw.laplacian(cross1, reference_profile, FDDerivatives(TF, scheme), pts)
     np.testing.assert_allclose(a, f, atol=1e-6)
 
@@ -408,7 +408,7 @@ def test_inverse_metric_divergence_matches_fd(cross1, cross2, quaternion, refere
 
             err = []
             for h in (2e-2, 1e-2, 1e-3):
-                dGi = first_derivative(ginv, pts, FDScheme(h=h, order=4, richardson=False))
+                dGi = first_derivative(ginv, pts, FDScheme(h=h, richardson=False))
                 err.append(np.max(np.abs(np.einsum("nmmv->nv", dGi) - div)))
             assert err[1] < err[0] / 8.0
             assert err[2] < 1e-8
