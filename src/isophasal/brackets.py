@@ -41,7 +41,7 @@ __all__ = [
 _RANK_TOL = 1e-10  # centralizer_dim: singular values below this fraction of the largest are null
 _SPECTRUM_TOL = 1e-10  # conjugator, check_isospectral: spectra further apart than this admit no conjugator
 _ISOSPECTRAL_SAMPLES = 100  # check_isospectral: random unit directions Z, besides the coordinate axes
-_KERNEL_FLOOR = 1e-8  # canonical_skew_frame: |S v| below this fraction of mu_max is kernel
+_KERNEL_FLOOR = 1e-8  # canonical_skew_frame: eigenvalues of iS at or below this fraction of mu_max are kernel
 
 
 class SpectraMismatchError(ValueError):
@@ -152,52 +152,23 @@ def check_isospectral(b1: Bracket, b2: Bracket, seed: int = 0) -> IsospectralRep
 def canonical_skew_frame(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal U and descending mu >= 0 with U^T S U = blockdiag(mu_j * J, 0), J = [[0,-1],[1,0]].
 
-    Built from the eigendecomposition of -S^2: within each positive eigenspace,
-    orthonormal pairs (v, S v / |S v|) span invariant planes.  Ties between
-    equal mu leave an orthogonal gauge freedom; the choice here is the
-    deterministic sweep order.
+    Built from one Hermitian eigendecomposition: iS is Hermitian, and an
+    eigenvector a + ib of eigenvalue mu > 0 gives S a = mu b and S b = -mu a.
+    Its conjugate a - ib belongs to -mu, so orthonormality of the eigenvectors
+    makes sqrt(2) a, sqrt(2) b over all positive mu (descending) an
+    orthonormal basis of the invariant planes, also inside clusters of equal
+    or nearly equal mu, where the orthogonal gauge freedom is eigh's choice.
+    Eigenvalues at or below _KERNEL_FLOOR * mu_max are the kernel, which is
+    completed to an orthonormal basis.
     """
     S = np.asarray(S, dtype=float)
     m = S.shape[0]
-    w, V = np.linalg.eigh(-S @ S)
-    order = np.argsort(w)[::-1]  # descending mu^2
-    w = w[order]
-    V = V[:, order]
-    mu_max = np.sqrt(max(w[0], 0.0)) if m else 0.0
-    # eigh noise puts kernel eigenvalues of -S^2 near machine epsilon, so the
-    # reliable kernel test is on |S v| itself, floored above sqrt(eps)*scale
-    mu_floor = mu_max * _KERNEL_FLOOR
-    cols: list[np.ndarray] = []
-    mus: list[float] = []
-    idx = 0
-    while idx < m and mu_max > 0.0:
-        v = V[:, idx]
-        for c in cols:  # re-orthogonalize against accepted pairs (degenerate clusters)
-            v = v - c * (c @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            idx += 1
-            continue
-        v = v / nv
-        wvec = S @ v
-        wvec = wvec - v * (v @ wvec)
-        for c in cols:
-            wvec = wvec - c * (c @ wvec)
-        nw = np.linalg.norm(wvec)
-        if nw <= mu_floor:
-            break  # reached the kernel: eigenvalues are sorted, the rest is noise
-        wvec = wvec / nw
-        cols.extend([v, wvec])
-        mus.append(nw)
-        idx += 1
-    # kernel / leftover: complete to an orthonormal basis
-    if len(cols) < m:
-        B = np.eye(m) if not cols else np.eye(m) - np.column_stack(cols) @ np.column_stack(cols).T
-        q, sv, _ = np.linalg.svd(B)
-        for j in range(m - len(cols)):
-            cols.append(q[:, j])
-    U = np.column_stack(cols)
-    return U, np.asarray(mus)
+    w, V = np.linalg.eigh(1j * S)  # ascending
+    positive = w > _KERNEL_FLOOR * w[-1]
+    mus, V = w[positive][::-1], V[:, positive][:, ::-1]
+    planes = np.sqrt(2.0) * np.stack([V.real, V.imag], axis=2).reshape(m, -1)  # columns a_1, b_1, a_2, ...
+    q, _, _ = np.linalg.svd(np.eye(m) - planes @ planes.T)
+    return np.concatenate([planes, q[:, : m - planes.shape[1]]], axis=1), mus
 
 
 @dataclasses.dataclass(frozen=True)

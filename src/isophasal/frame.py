@@ -402,11 +402,7 @@ def curvature(
             np.subtract(quad.transpose(step.swap_axes), quad, out=out)
         elif step.quad:
             _gamma_product(gam, step.quad, out)
-            if step.swap:
-                swap = _gamma_product(gam, step.swap, tmp).reshape(npts, a, d, b, g)
-                np.subtract(swap.transpose(0, 1, 4, 3, 2), out, out=out)
-            else:
-                np.negative(out, out=out)
+            np.negative(out, out=out)
         elif step.swap:
             swap = _gamma_product(gam, step.swap, tmp).reshape(npts, a, d, b, g)
             np.copyto(out, swap.transpose(0, 1, 4, 3, 2))

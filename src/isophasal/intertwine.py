@@ -202,9 +202,8 @@ class FourierField:
     grid_size = 2N + 1 points per angle, exact on trigonometric polynomials
     of degree up to N per angle, all taken at once by one np.fft.fftn over
     the angle axes: the coefficient of Z is spectrum[Z mod grid_size] /
-    grid_size^k.  Fiber arguments are x (m,) and r (k,), or batches x (P, m)
-    and r (P, k) whose fibers are all evaluated in one call of f; batched
-    calls return one coefficient per fiber.
+    grid_size^k.  Fibers come in batches x (P, m) and r (P, k), all evaluated
+    in one call of f, and every method returns one coefficient per fiber.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], N: int, k: int):
@@ -217,44 +216,35 @@ class FourierField:
         self.sigma = np.stack([g.ravel() for g in mesh], axis=1)  # (G, k)
 
     def _values(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """f on the grid of every fiber, shape batch + (grid_size,) * k."""
-        x = np.asarray(x, dtype=float)
-        r = np.asarray(r, dtype=float)
-        xb = x.reshape(-1, x.shape[-1])
-        rb = r.reshape(-1, r.shape[-1])
-        G = self.sigma.shape[0]
+        """f on the grid of every fiber, shape (P,) + (grid_size,) * k."""
+        P, G = len(x), self.sigma.shape[0]
         pts = np.concatenate(
             [
-                np.repeat(xb, G, axis=0),
-                polar_to_cartesian(np.repeat(rb, G, axis=0), np.tile(self.sigma, (xb.shape[0], 1))),
+                np.repeat(np.asarray(x, dtype=float), G, axis=0),
+                polar_to_cartesian(np.repeat(np.asarray(r, dtype=float), G, axis=0), np.tile(self.sigma, (P, 1))),
             ],
             axis=1,
         )
-        return np.asarray(self.f(pts)).reshape(x.shape[:-1] + (self.grid_size,) * self.k)
+        return np.asarray(self.f(pts)).reshape((P,) + (self.grid_size,) * self.k)
 
     def _spectrum(self, vals: np.ndarray) -> np.ndarray:
-        axes = tuple(range(vals.ndim - self.k, vals.ndim))
-        return np.fft.fftn(vals, axes=axes) / self.sigma.shape[0]
+        return np.fft.fftn(vals, axes=tuple(range(1, self.k + 1))) / self.sigma.shape[0]
 
     def _index(self, Z) -> tuple:
         """Spectrum index of a frequency Z (k,), or per-axis index arrays for Z (L, k)."""
         wrapped = np.asarray(Z, dtype=int) % self.grid_size
         return tuple(wrapped[..., p] for p in range(self.k))
 
-    def coefficient(self, Z, x: np.ndarray, r: np.ndarray):
-        """f_Z on the fiber(s); for batched fibers Z is (k,) or one frequency per fiber (P, k)."""
+    def coefficient(self, Z, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """f_Z on each fiber, shape (P,); Z is (k,) or one frequency per fiber (P, k)."""
         spec = self._spectrum(self._values(x, r))
-        if spec.ndim == self.k:
-            return complex(spec[self._index(Z)])
         return spec[(np.arange(spec.shape[0]),) + self._index(Z)]
 
-    def coefficients_all(self, x: np.ndarray, r: np.ndarray) -> dict[tuple[int, ...], complex | np.ndarray]:
-        """Every f_Z with |Z|_inf <= N, in mode_vectors order."""
+    def coefficients_all(self, x: np.ndarray, r: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+        """Every f_Z with |Z|_inf <= N, in mode_vectors order, each of shape (P,)."""
         spec = self._spectrum(self._values(x, r))
         modes = mode_vectors(self.N, self.k)
-        coefs = spec[(Ellipsis,) + self._index(modes)]  # batch + (len(modes),)
-        if spec.ndim == self.k:
-            return {Z: complex(c) for Z, c in zip(modes, coefs)}
+        coefs = spec[(slice(None),) + self._index(modes)]  # (P, len(modes))
         return {Z: coefs[:, j] for j, Z in enumerate(modes)}
 
 

@@ -164,6 +164,22 @@ def test_conjugator_triple(cross1, cross2, quaternion, rng):
             assert rep.residual_orth <= 1e-12
 
 
+@pytest.mark.parametrize("split", [0.0, 1e-12, 1e-9, 1e-6])
+def test_conjugator_near_degenerate_spectrum(split):
+    # continuous families split and merge eigenvalue clusters of j(Z): two mu
+    # that differ by `split` must still give an orthogonal conjugator
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    D = np.zeros((6, 6))
+    for j, mu in enumerate((1.0, 1.0 + split, 0.5)):
+        D[2 * j:2 * j + 2, 2 * j:2 * j + 2] = mu * J
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        b1, b2 = (Bracket((Q @ D @ Q.T).T[None]) for Q in (random_orthogonal(6, rng), random_orthogonal(6, rng)))
+        rep = conjugator(b1, b2, np.array([1.0]))
+        assert rep.residual_conj <= 1e-12
+        assert rep.residual_orth <= 1e-12
+
+
 def test_conjugator_spectra_mismatch(cross1, rng):
     with pytest.raises(SpectraMismatchError):
         conjugator(cross1, cross1.scaled(2.0), rng.normal(size=3))

@@ -347,19 +347,25 @@ def test_cli_too_many_dimensions_exit_code(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_reproduce_all_a2_records_match_cli(tmp_path):
+def test_reproduce_all_a2_records_match_cli(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_QUAD)
     assert main(["a2", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
     (cli_rec,) = read_jsonl(tmp_path / "cli" / "a2.jsonl")
     script = load_script("reproduce_all")
-    script.run(["--fast", "--out", str(tmp_path / "script")])
-    records = read_jsonl(tmp_path / "script" / "a2.jsonl")
-    assert [r["bracket"] for r in records] == ["cross1", "cross2", "quaternion"]
-    for rec in records:
-        assert set(rec) == set(cli_rec) | {"bracket"}
-        assert len(rec["inside_fractions"]) == 4  # --fast: 4 replicates
-        assert rec["preflight_deviation"] < 1e-12  # the script runs the preflight
+    monkeypatch.chdir(tmp_path)
+    script.run(["--fast", "--out", "script"])  # relative: taken from the working directory
+    out = tmp_path / "script"
+    for art in ("brackets.jsonl", "validate.jsonl", "sweep.jsonl", "sweep.csv", "intertwine.jsonl"):
+        assert (out / art).is_file()
+    for name in ("cross2", "quaternion"):
+        *records, pair = read_jsonl(out / f"a2_{name}" / "a2.jsonl")
+        assert [r["bracket"] for r in records] == ["bracket", "bracket2"]
+        for rec in records:
+            assert set(rec) == set(cli_rec) | {"bracket"}
+            assert len(rec["inside_fractions"]) == 4  # --fast: 4 replicates
+            assert rec["preflight_deviation"] < 1e-12  # the CLI runs the preflight
+        assert pair["kind"] == "pair" and pair["isospectral"] and pair["consistent"]
 
 
 def test_a2_convergence_script(capsys):

@@ -101,16 +101,16 @@ def test_fourier_single_mode(rng):
     field = itw.FourierField(lambda q: TF(q), N=2, k=K)
     x0 = rng.uniform(-0.3, 0.3, size=M)
     r0 = rng.uniform(0.2, 0.4, size=K)
-    coefs = field.coefficients_all(x0, r0)
-    live = {Z for Z, c in coefs.items() if abs(c) > 1e-13}
+    coefs = field.coefficients_all(x0[None], r0[None])
+    live = {Z for Z, c in coefs.items() if abs(c[0]) > 1e-13}
     assert live == {TF.freq}
 
 
 def test_fourier_constant_in_theta(rng):
     f0 = itw.TestFunction(m=M, freq=(0, 0, 0), powers=(1,))
     field = itw.FourierField(lambda q: f0(q), N=1, k=K)
-    coefs = field.coefficients_all(rng.uniform(-0.3, 0.3, size=M), rng.uniform(0.2, 0.4, size=K))
-    live = {Z for Z, c in coefs.items() if abs(c) > 1e-13}
+    coefs = field.coefficients_all(rng.uniform(-0.3, 0.3, size=(1, M)), rng.uniform(0.2, 0.4, size=(1, K)))
+    live = {Z for Z, c in coefs.items() if abs(c[0]) > 1e-13}
     assert live == {(0, 0, 0)}
 
 
@@ -131,7 +131,7 @@ def test_fourier_reconstruction_and_parseval(rng):
     r0 = rng.uniform(0.2, 0.4, size=K)
     th0 = rng.uniform(0, 2 * np.pi, size=K)
     direct = f(np.concatenate([x0, polar_to_cartesian(r0[None], th0[None])[0]])[None])[0]
-    coefs = field.coefficients_all(x0, r0)
+    coefs = {Z: c[0] for Z, c in field.coefficients_all(x0[None], r0[None]).items()}
     series = sum(c * np.exp(1j * np.dot(Z, th0)) for Z, c in coefs.items())
     assert abs(series - direct) < 1e-12
     # Parseval on the fiber: sum |f_Z|^2 equals the grid mean of |f|^2
@@ -159,19 +159,20 @@ def test_fourier_fft_matches_trapezoid_sums(rng, N):
     G = field.sigma.shape[0]
     fiber = np.concatenate([np.tile(x0, (G, 1)), polar_to_cartesian(np.tile(r0, (G, 1)), field.sigma)], axis=1)
     vals = smooth_all_modes(fiber)
-    coefs = field.coefficients_all(x0, r0)
+    coefs = {Z: c[0] for Z, c in field.coefficients_all(x0[None], r0[None]).items()}
     assert list(coefs) == itw.mode_vectors(N, K)
     direct = {Z: np.mean(vals * np.exp(-1j * field.sigma @ np.asarray(Z, dtype=float))) for Z in coefs}
     scale = max(abs(c) for c in direct.values())
     for Z, c in coefs.items():
         assert abs(c - direct[Z]) <= 1e-14 * scale
     for Z in ((-N,) * K, (N, -N, 0), (0, 1, -N)):
-        assert abs(field.coefficient(Z, x0, r0) - direct[Z]) <= 1e-14 * scale
+        assert abs(field.coefficient(Z, x0[None], r0[None])[0] - direct[Z]) <= 1e-14 * scale
     assert min(abs(c) for c in direct.values()) > 1e-12 * scale  # every mode carries weight
 
 
 def test_fourier_batched_fibers(rng):
-    # a batch of fibers gives each fiber's coefficients, one frequency per fiber
+    # a batch of fibers gives each fiber's coefficients, one frequency per fiber,
+    # the same as each fiber taken as a one-fiber batch
     field = itw.FourierField(smooth_all_modes, N=2, k=K)
     xs = rng.uniform(-0.3, 0.3, size=(4, M))
     rs = rng.uniform(0.2, 0.5, size=(4, K))
@@ -179,7 +180,7 @@ def test_fourier_batched_fibers(rng):
     batched = field.coefficients_all(xs, rs)
     picked = field.coefficient(Zs, xs, rs)
     for i in range(4):
-        single = field.coefficients_all(xs[i], rs[i])
+        single = {Z: c[0] for Z, c in field.coefficients_all(xs[i:i + 1], rs[i:i + 1]).items()}
         for Z, c in single.items():
             assert abs(batched[Z][i] - c) <= 1e-15 * max(1.0, abs(c))
         assert abs(picked[i] - single[tuple(Zs[i])]) <= 1e-15 * max(1.0, abs(picked[i]))
@@ -234,8 +235,8 @@ def test_apply_q_requires_built_conjugator(cross1, quaternion):
 def test_q_preserves_modes(cross1, cross2, rng):
     Qf = itw.apply_Q(itw.build_conjugators(cross1, cross2, itw.mode_vectors(2, K)), TF)
     field = itw.FourierField(lambda q: Qf(q), N=2, k=K)
-    coefs = field.coefficients_all(rng.uniform(-0.3, 0.3, size=M), rng.uniform(0.2, 0.4, size=K))
-    live = {Z for Z, c in coefs.items() if abs(c) > 1e-13}
+    coefs = field.coefficients_all(rng.uniform(-0.3, 0.3, size=(1, M)), rng.uniform(0.2, 0.4, size=(1, K)))
+    live = {Z for Z, c in coefs.items() if abs(c[0]) > 1e-13}
     assert live == {TF.freq}
 
 
@@ -278,8 +279,8 @@ def test_q_unitary_on_fibers(cross1, quaternion, rng):
         total_f = 0.0
         for fi in fns:
             Z = fi.freq
-            cq = field_Qf.coefficient(Z, x0, r0)
-            cf = field_f.coefficient(Z, conj[Z].A @ x0, r0)
+            cq = field_Qf.coefficient(Z, x0[None], r0[None])[0]
+            cf = field_f.coefficient(Z, (conj[Z].A @ x0)[None], r0[None])[0]
             assert abs(abs(cq) - abs(cf)) < 1e-8
             total_q += abs(cq) ** 2
             total_f += abs(cf) ** 2
