@@ -32,8 +32,7 @@ def run(argv=None):
     parser.add_argument("--fast", action="store_true", help="small node counts for a smoke run")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    # absolute: the CLI joins a relative --out to the directory of the config file
-    out = Path(args.out).resolve()
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     nodes = 8192 if args.fast else 100_000

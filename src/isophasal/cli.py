@@ -19,12 +19,15 @@ Commands:
 Artifacts are JSON lines (one record per result, sorted keys, no volatile
 fields) plus a CSV for the sweep table, so repeated runs with the same
 config and seed are byte-identical.  Every record embeds the config hash and
-seed.  Exit status: 0 on success, 1 when an asserted tolerance fails, 2 on
+seed.  Exit status: 0 on success; 1 when an asserted tolerance fails, and
+when intertwine finds bracket and bracket2 not isospectral (no artifact); 2 on
 configuration errors (a bad scale list among them; every config error names
-its key, and its line when it came from the file) and on brackets whose
-m + k exceeds the 32 dimensions of the Sobol' sampler.  ISOPHASAL_THREADS sets
-the worker count (default: the available cores, which also cap it); it must
-be a positive integer, anything else exits with status 2.
+its key, and its line when it came from the file), on brackets whose m + k
+exceeds the 32 dimensions of the Sobol' sampler, and on an a2 or sweep whose
+quadrature nodes all miss the support.  Errors print one line to stderr.
+ISOPHASAL_THREADS sets the worker count (default: the available cores, which
+also cap it); it must be a positive integer, anything else exits with
+status 2.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 from . import coord, frame, heat, intertwine
 from .brackets import (
     BUILTIN_BRACKETS,
+    SpectraMismatchError,
     builtin_bracket,
     centralizer_dim,
     check_isospectral,
@@ -285,7 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides=overrides)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, heat.WorkerCountError, heat.SamplerDimensionError) as exc:
+    except SpectraMismatchError as exc:
+        print(f"bracket and bracket2 are not isospectral: {exc}", file=sys.stderr)
+        return 1
+    except (ConfigError, heat.WorkerCountError, heat.SamplerDimensionError, heat.DegenerateNodesError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -133,7 +133,8 @@ def parse_config(
     line_of: dict[str, int] = {}
     for key, (value, lineno) in _parse_lines(text).items():
         values[key], line_of[key] = value, lineno
-    for key, value in (overrides or {}).items():
+    overrides = overrides or {}
+    for key, value in overrides.items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown key {key!r}", field=key)
         values[key] = str(value)
@@ -151,10 +152,14 @@ def parse_config(
         """obj with field name set from key: the constructor checks that one value."""
         return read(key, lambda v: dataclasses.replace(obj, **{name: convert(v)}))
 
+    def path(key: str, value: str) -> Path:
+        """A path typed as an override is relative to the working directory, any other to base_dir."""
+        return Path(value) if key in overrides else base_dir / value  # an absolute value replaces base_dir
+
     def bracket_of(section: str) -> tuple[Bracket | None, str]:
         """The section's bracket (a file before a builtin) and the key that set it."""
-        # joining an absolute file path replaces base_dir
-        for key, build in ((f"{section}.file", lambda v: bracket_from_text((base_dir / v).read_text())),
+        file_key = f"{section}.file"
+        for key, build in ((file_key, lambda v: bracket_from_text(path(file_key, v).read_text())),
                            (f"{section}.builtin", builtin_bracket)):
             if values[key]:
                 return read(key, build), key
@@ -182,7 +187,7 @@ def parse_config(
     canonical = "\n".join(f"{k}={values[k]}" for k in sorted(values) if k != "output.dir")
     return RunConfig(
         config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
-        out_dir=base_dir / values["output.dir"],
+        out_dir=path("output.dir", values["output.dir"]),
         s_list=read("sweep.s_list", lambda v: tuple(_scale_list(t for t in v.split(",") if t.strip()))),
         band_limit=read("intertwine.band_limit", _int_in(0)),
         n_points=read("intertwine.n_points", _int_in(1)),

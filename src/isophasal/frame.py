@@ -8,32 +8,33 @@ coordinates (x, r, theta) and the orthonormal frame
 
 with coupling coefficients a_iq = phi_s(|x|^2, |r|^2) <[x, e_i], Z_q>, turn the
 metric into constant coefficients; all curvature information sits in the frame
-structure constants.  The nonzero brackets are
+structure constants.  In the joint coordinate y = (x, r), with E_alpha running
+over the xhat and rhat fields and a_alpha,q = 0 for an rhat index, the nonzero
+brackets are
 
-    [xhat_i, xhat_j] = sum_q (d_i a_jq - d_j a_iq) r_q that_q
-    [rhat_p, xhat_i] = sum_q (d_{r_p} a_iq) r_q that_q
+    [E_alpha, E_beta] = sum_q r_q (d_alpha a_beta,q - d_beta a_alpha,q) that_q
     [rhat_q, that_q] = -(1/r_q) that_q,
 
 the last being the flat polar-frame term; it is kept so that the zero-bracket
 metric comes out exactly flat.  Christoffel symbols follow from the Koszul
 formula, and the curvature tensor from the standard frame formula with the
-frame derivatives of Gamma taken from the stored second partials of a (no
-finite differences anywhere in this module).  Everything is batched over
-points, chunked to bound memory, and sits inside the quadrature inner loop of
-the heat invariant pipeline.
+frame derivatives of Gamma taken from the y-Hessian of a (no finite
+differences anywhere in this module).  Everything is batched over points,
+chunked to bound memory, and sits inside the quadrature inner loop of the
+heat invariant pipeline.
 
-What is materialised: c, its derivatives dc (only the that rows are nonzero)
-and Gamma, densely; the curvature only on blocks of Riem by frame type
-(xhat, rhat, that).  Every bracket above has only that components, the
-horizontal/vertical split of a torus-invariant metric (O'Neill, Michigan
-Math. J. 13, 1966), so c is nonzero on 5 of its 27 type blocks and Gamma on
-11.  curvature() builds Riem on the 21 canonical type blocks (A <= B,
-G <= D, (A, B) <= (G, D)) that the pair symmetries reduce the 81 to, from
-small products of Gamma blocks and views of the that rows of dc, and reads
-Ric off those blocks.  curvature_scalars, a2_integrand and frame_bundle all
-run that one contraction.  Only frame_bundle, meant for inspection and
-tests, also builds the dense frame derivatives dGamma and expands the blocks
-into the dense Riem.
+What is materialised: a with its y-gradient and y-Hessian; c, its
+y-derivatives dc (only the that rows are nonzero) and Gamma, densely; the
+curvature only on blocks of Riem by frame type (xhat, rhat, that).  Every
+bracket above has only that components, the horizontal/vertical split of a
+torus-invariant metric (O'Neill, Michigan Math. J. 13, 1966), so c is nonzero
+on 5 of its 27 type blocks and Gamma on 11.  curvature() builds Riem on the 21
+canonical type blocks (A <= B, G <= D, (A, B) <= (G, D)) that the pair
+symmetries reduce the 81 to, from small products of Gamma blocks and views of
+the that rows of dc, and reads Ric off those blocks.  curvature_scalars,
+a2_integrand and frame_bundle all run that one contraction.  Only
+frame_bundle, meant for inspection and tests, also builds the dense frame
+derivatives dGamma and expands the blocks into the dense Riem.
 
 Index layout: 0..m-1 xhat, m..m+k-1 rhat, m+k..m+2k-1 that.  Tensors are
 stored as c[n, gamma, alpha, beta] (gamma-component of [E_alpha, E_beta]),
@@ -80,18 +81,15 @@ class DegeneratePointError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class CouplingCoeffs:
-    """a_ip and its partials at a batch of (x, r) points.
+    """a_ip and its partials in y = (x, r) at a batch of points.
 
-    Shapes: a (N,m,k); ax (N,m,k,m) is da/dx_j; ar (N,m,k,k) is da/dr_q;
-    axx, axr, arr are the second partials with derivative axes last.
+    Shapes: a (N,m,k); grad (N,m,k,m+k) is da/dy_e; hess (N,m,k,m+k,m+k) is
+    d2a/dy_e dy_f, derivative axes last (y_0..y_{m-1} = x, y_m.. = r).
     """
 
     a: np.ndarray
-    ax: np.ndarray
-    ar: np.ndarray
-    axx: np.ndarray
-    axr: np.ndarray
-    arr: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
 
 
 def _r_min(profile: CutoffProfile) -> float:
@@ -116,7 +114,12 @@ def _usable_nodes(profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> np.nd
 
 
 def coupling_coeffs(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> CouplingCoeffs:
-    """All partials of a_ip(x, r) = phi_s(|x|^2, |r|^2) <[x, e_i], Z_p>, chain rule only."""
+    """a_ip(y) = phi_s(|x|^2, |r|^2) <[x, e_i], Z_p> with its gradient and Hessian in y = (x, r).
+
+    L_ip = <[x, e_i], Z_p> is linear in x and constant in r, so with g and H
+    the y-gradient and y-Hessian of phi: grad = g L + phi dL and
+    hess = H L + g (x) dL + dL (x) g, where dL vanishes along r.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     m, k = bracket.m, bracket.k
@@ -127,37 +130,37 @@ def coupling_coeffs(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: 
     L = np.einsum("nj,pji->nip", x, bracket.tensor)
     dL = np.einsum("pji->ipj", bracket.tensor)
 
-    v, p1, p2 = pd.value, pd.d1, pd.d2
-    p11, p12, p22 = pd.d11, pd.d12, pd.d22
+    # phi's partials by the slot (|x|^2 or |r|^2) of each y_e: g = 2 phi_a y_e,
+    # H = 4 phi_ab y_e y_f + 2 phi_a on the diagonal
+    slot = np.repeat([0, 1], [m, k])
+    y = np.concatenate([x, r], axis=1)
+    phi_a = np.stack([pd.d1, pd.d2], axis=1)[:, slot]
+    phi_ab = np.stack([pd.d11, pd.d12, pd.d22], axis=1)[:, slot[:, None] + slot]
+    g = 2.0 * (phi_a * y)
+    hyy = (phi_ab * y[:, :, None]) * y[:, None, :]
+    # mirrored, so hess is exactly symmetric: (phi_12 r_q) x_j can round differently from (phi_12 x_j) r_q
+    hyy[:, m:, :m] = hyy[:, :m, m:].transpose(0, 2, 1)
 
-    # each term is (phi partial * coordinate factors) * L or dL, multiplied left to right
-    px = p1[:, None] * x      # phi_1 x_j
-    pr = p2[:, None] * r      # phi_2 r_q
-    Lx = L[..., None]
-    Lxx = L[..., None, None]
-    a = v[:, None, None] * L
-    ax = 2.0 * (px[:, None, None, :] * Lx) + v[:, None, None, None] * dL[None]
-    ar = 2.0 * (pr[:, None, None, :] * Lx)
-    axx = (
-        2.0 * ((p1[:, None, None] * np.eye(m))[:, None, None] * Lxx)
-        + 4.0 * (((p11[:, None] * x)[:, :, None] * x[:, None, :])[:, None, None] * Lxx)
-        + 2.0 * (px[:, None, None, :, None] * dL[None, :, :, None, :])
-        + 2.0 * (px[:, None, None, None, :] * dL[None, :, :, :, None])
-    )
-    axr = 4.0 * (((p12[:, None] * x)[:, :, None] * r[:, None, :])[:, None, None] * Lxx) + 2.0 * (
-        pr[:, None, None, None, :] * dL[None, :, :, :, None]
-    )
-    arr = 2.0 * ((p2[:, None, None] * np.eye(k))[:, None, None] * Lxx) + 4.0 * (
-        ((p22[:, None] * r)[:, :, None] * r[:, None, :])[:, None, None] * Lxx
-    )
-    return CouplingCoeffs(a=a, ax=ax, ar=ar, axx=axx, axr=axr, arr=arr)
+    Ly = L[..., None]
+    grad = g[:, None, None, :] * Ly
+    grad[..., :m] += pd.value[:, None, None, None] * dL[None]
+    hess = (4.0 * hyy)[:, None, None] * Ly[..., None]
+    diag = np.einsum("nipee->nipe", hess)  # a view: H's diagonal term is added on its own
+    diag += (2.0 * phi_a)[:, None, None, :] * Ly
+    dLg = dL[None, :, :, :, None] * g[:, None, None, None, :]  # its transpose is g (x) dL
+    hess[..., :m] += dLg.transpose(0, 1, 2, 4, 3)
+    hess[..., :m, :] += dLg
+    return CouplingCoeffs(a=pd.value[:, None, None] * L, grad=grad, hess=hess)
 
 
 def structure_constants(cc: CouplingCoeffs, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Structure constants c[n,gamma,alpha,beta] and their (x, r)-derivatives.
+    """Structure constants c[n,gamma,alpha,beta] and their y-derivatives.
 
-    dc has shape (N, n, n, n, m+k) with the derivative direction last
-    (0..m-1 -> d/dx, m..m+k-1 -> d/dr); theta-derivatives vanish identically.
+    dc has shape (N, n, n, n, m+k) with the derivative direction y_f last;
+    theta-derivatives vanish identically.  With D_q[e, i] = d a_iq / d y_e
+    (zero where i is an rhat index), the xhat/rhat part of c's that_q row is
+    r_q (D_q - D_q^T), and its d/dy_f is r_q (dD_q - dD_q^T)[..., f] plus
+    D_q - D_q^T when y_f = r_q.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     npts, k = r.shape
@@ -165,65 +168,48 @@ def structure_constants(cc: CouplingCoeffs, r: np.ndarray) -> tuple[np.ndarray, 
     n = m + 2 * k
     mk = m + k
 
+    D = cc.grad.transpose(0, 2, 3, 1)  # D[n,q,e,i]
+    dD = cc.hess.transpose(0, 2, 3, 1, 4)  # dD[n,q,e,i,f]
     c = np.zeros((npts, n, n, n))
-    # [xhat_i, xhat_j] -> that_q components
-    axT = np.einsum("njqi->nqij", cc.ax)  # axT[n,q,i,j] = d a_jq / d x_i
-    bxx = (axT - axT.transpose(0, 1, 3, 2)) * r[:, :, None, None]
-    c[:, mk:, :m, :m] = bxx
-    # [rhat_p, xhat_i] -> that_q components
-    brx = np.einsum("niqp->nqpi", cc.ar) * r[:, :, None, None]
-    c[:, mk:, m:mk, :m] = brx
-    c[:, mk:, :m, m:mk] = -brx.transpose(0, 1, 3, 2)
-    # flat polar: [rhat_q, that_q] = -(1/r_q) that_q
+    dc = np.zeros((npts, n, n, n, mk))
+    # the that rows over xhat/rhat pairs, antisymmetrised in place, then times r_q
+    c_y = c[:, mk:, :mk, :mk]
+    c_y[..., :m] = D
+    c_y[:, :, :m] -= D.transpose(0, 1, 3, 2)
+    dc_y = dc[:, mk:, :mk, :mk]
+    dc_y[..., :m, :] = dD
+    dc_y[:, :, :m] -= dD.transpose(0, 1, 3, 2, 4)
+    dc_y *= r[:, :, None, None, None]
+    for q in range(k):
+        dc_y[:, q, :, :, m + q] += c_y[:, q]
+    c_y *= r[:, :, None, None]
+    # flat polar: [rhat_q, that_q] = -(1/r_q) that_q, and its d/dr_q
     inv_r = 1.0 / r
+    inv_r2 = inv_r * inv_r
     for q in range(k):
         c[:, mk + q, m + q, mk + q] = -inv_r[:, q]
         c[:, mk + q, mk + q, m + q] = inv_r[:, q]
-
-    dc = np.zeros((npts, n, n, n, mk))
-    # d/dx_l and d/dr_w of the xhat-xhat block
-    axxT = np.einsum("njqil->nqijl", cc.axx)  # d2 a_jq / dx_i dx_l
-    dc[:, mk:, :m, :m, :m] = (axxT - axxT.transpose(0, 1, 3, 2, 4)) * r[:, :, None, None, None]
-    axrT = np.einsum("njqiw->nqijw", cc.axr)  # d2 a_jq / dx_i dr_w
-    dbxx_r = (axrT - axrT.transpose(0, 1, 3, 2, 4)) * r[:, :, None, None, None]
-    base = axT - axT.transpose(0, 1, 3, 2)  # (d_i a_jq - d_j a_iq)
-    for q in range(k):
-        dbxx_r[:, q, :, :, q] += base[:, q]
-    dc[:, mk:, :m, :m, m:] = dbxx_r
-    # d/dx_l and d/dr_w of the rhat-xhat block
-    brx_x = np.einsum("niqlp->nqpil", cc.axr) * r[:, :, None, None, None]
-    dc[:, mk:, m:mk, :m, :m] = brx_x
-    dc[:, mk:, :m, m:mk, :m] = -brx_x.transpose(0, 1, 3, 2, 4)
-    brx_r = np.einsum("niqpw->nqpiw", cc.arr) * r[:, :, None, None, None]
-    arT = np.einsum("niqp->nqpi", cc.ar)
-    for q in range(k):
-        brx_r[:, q, :, :, q] += arT[:, q]
-    dc[:, mk:, m:mk, :m, m:] = brx_r
-    dc[:, mk:, :m, m:mk, m:] = -brx_r.transpose(0, 1, 3, 2, 4)
-    # flat polar derivatives: d/dr_q of -(1/r_q)
-    inv_r2 = inv_r * inv_r
-    for q in range(k):
         dc[:, mk + q, m + q, mk + q, m + q] = inv_r2[:, q]
         dc[:, mk + q, mk + q, m + q, m + q] = -inv_r2[:, q]
     return c, dc
 
 
 def christoffels(c: np.ndarray) -> np.ndarray:
-    """Koszul formula in an orthonormal frame: Gamma[g,a,b] = (c[g,b,a] + c[b,g,a] + c[a,g,b]) / 2."""
-    out = np.ascontiguousarray(c.transpose(0, 1, 3, 2))  # c[g, b, a]
-    out += c.transpose(0, 2, 1, 3)  # c[b, g, a] read as [g, a, b]
-    out += c.transpose(0, 2, 3, 1)  # c[a, g, b] read as [g, a, b]
+    """Koszul formula in an orthonormal frame: Gamma[g,a,b] = (c[g,b,a] + c[b,g,a] + c[a,g,b]) / 2.
+
+    Axes after the fourth (dc's derivative axis) are carried along.
+    """
+    rest = tuple(range(4, c.ndim))
+    out = np.ascontiguousarray(c.transpose((0, 1, 3, 2) + rest))  # c[g, b, a]
+    out += c.transpose((0, 2, 1, 3) + rest)  # c[b, g, a] read as [g, a, b]
+    out += c.transpose((0, 2, 3, 1) + rest)  # c[a, g, b] read as [g, a, b]
     out *= 0.5
     return out
 
 
 def christoffel_derivs(dc: np.ndarray) -> np.ndarray:
-    """Frame derivatives of Gamma, same index shuffle with the derivative axis carried along."""
-    out = np.ascontiguousarray(dc.transpose(0, 1, 3, 2, 4))
-    out += dc.transpose(0, 2, 1, 3, 4)
-    out += dc.transpose(0, 2, 3, 1, 4)
-    out *= 0.5
-    return out
+    """Frame derivatives of Gamma: the Koszul shuffle of dc, its derivative axis carried along."""
+    return christoffels(dc)
 
 
 # Frame types in index order: xhat (m of them), rhat (k), that (k).
@@ -451,11 +437,6 @@ class FrameCurvature:
     Gamma: np.ndarray
     dGamma: np.ndarray
     Riem: np.ndarray
-    Ric: np.ndarray
-    tau: np.ndarray
-    ric_sq: np.ndarray
-    riem_sq: np.ndarray
-    a2_integrand: np.ndarray
 
 
 def a2_constant(n: int) -> float:
@@ -553,7 +534,7 @@ def a2_integrand(
 
 
 def frame_bundle(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> FrameCurvature:
-    """Full tensor bundle at a (small) batch of points, for inspection and tests.
+    """Dense tensor bundle at a (small) batch of points, for inspection and tests.
 
     Runs the same contraction as curvature_scalars and expands its blocks
     into the dense Riem; dGamma is computed here only, for inspection.
@@ -561,14 +542,7 @@ def frame_bundle(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     _check_radii(profile, r)
-    m, k = bracket.m, bracket.k
-    n = m + 2 * k
-    cc = coupling_coeffs(bracket, profile, x, r)
-    c, dc = structure_constants(cc, r)
+    c, dc = structure_constants(coupling_coeffs(bracket, profile, x, r), r)
     Gamma = christoffels(c)
-    R, Ric, tau = curvature(Gamma, c, dc)
-    ric2, riem2 = _square_norms(R, Ric)
-    return FrameCurvature(
-        c=c, Gamma=Gamma, dGamma=christoffel_derivs(dc), Riem=_dense_riemann(R, m, k), Ric=Ric,
-        tau=tau, ric_sq=ric2, riem_sq=riem2, a2_integrand=a2_density(n, tau, ric2, riem2),
-    )
+    R, _Ric, _tau = curvature(Gamma, c, dc)
+    return FrameCurvature(c=c, Gamma=Gamma, dGamma=christoffel_derivs(dc), Riem=_dense_riemann(R, bracket.m, bracket.k))

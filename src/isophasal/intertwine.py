@@ -484,7 +484,7 @@ def default_test_functions(m: int, k: int, profile: CutoffProfile) -> list[TestF
             TestFunction(
                 m=m,
                 freq=tuple(freq),
-                powers=tuple(powers),
+                powers=tuple(powers[:m]),
                 x_bump_rsq=rx2 * (1.0 + 0.1 * (j % 3)),
                 u_bump_rsq=ru2 * (1.0 + 0.07 * (j % 4)),
             )

@@ -98,6 +98,22 @@ def _two_dim_bracket(m):
     return Bracket(tensor)
 
 
+def test_paths_relative_to_where_they_were_typed(tmp_path, monkeypatch):
+    # a path in the config file is taken from the file's directory, one from an override (a flag such
+    # as --out) from the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "run.cfg").write_text("output.dir = artifacts\nbracket.file = b.bracket\n")
+    (tmp_path / "sub" / "b.bracket").write_text(bracket_to_text(builtin_bracket("cross2")))
+    (tmp_path / "b.bracket").write_text(bracket_to_text(builtin_bracket("quaternion")))
+    cfg = load_config("sub/run.cfg")
+    assert cfg.out_dir == Path("sub/artifacts")
+    np.testing.assert_array_equal(cfg.bracket().tensor, builtin_bracket("cross2").tensor)
+    cfg = load_config("sub/run.cfg", overrides={"output.dir": "artifacts", "bracket.file": "b.bracket"})
+    assert cfg.out_dir == Path("artifacts")
+    np.testing.assert_array_equal(cfg.bracket().tensor, builtin_bracket("quaternion").tensor)
+
+
 def test_dimension_mismatch_rejected(tmp_path):
     small = _two_dim_bracket(4)
     path = tmp_path / "small.bracket"
@@ -301,6 +317,26 @@ def test_cli_intertwine_needs_bracket2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["intertwine", "--config", str(cfg), "--out", str(out)]) == 2
     assert "'bracket2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_intertwine_not_isospectral_exits_1(tmp_path, capsys):
+    # the pair fails the check: one line on stderr, no traceback and no artifact
+    (tmp_path / "double.bracket").write_text(bracket_to_text(builtin_bracket("cross1").scaled(2.0)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket2.file = double.bracket\nintertwine.n_points = 2\nintertwine.n_functions = 2\n")
+    out = tmp_path / "out"
+    assert main(["intertwine", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "not isospectral" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_a2_no_node_in_support_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["a2", "--nodes", "2", "--replicates", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no quadrature nodes" in err and err.count("\n") == 1
     assert not out.exists()
 
 

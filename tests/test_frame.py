@@ -32,13 +32,13 @@ def interior_points(rng, n=10, m=M, k=K):
 def test_coupling_zero_x(cross1, reference_profile):
     cc = frame.coupling_coeffs(cross1, reference_profile, np.zeros((1, M)), 0.3 * np.ones((1, K)))
     assert np.max(np.abs(cc.a)) == 0.0          # [0, e_i] = 0
-    assert np.max(np.abs(cc.ax)) > 0.0          # but the x-gradient survives
+    assert np.max(np.abs(cc.grad[..., :M])) > 0.0  # but the x-gradient survives
 
 
 def test_coupling_outside_support(cross1, reference_profile):
     x = np.full((1, M), 0.5)  # |x|^2 = 1.5 > 1
     cc = frame.coupling_coeffs(cross1, reference_profile, x, 0.3 * np.ones((1, K)))
-    for field in (cc.a, cc.ax, cc.ar, cc.axx, cc.axr, cc.arr):
+    for field in (cc.a, cc.grad, cc.hess):
         np.testing.assert_array_equal(field, 0.0)
 
 
@@ -60,16 +60,17 @@ def test_coupling_derivatives_match_sympy(cross1, reference_profile):
         assert float(a_expr.subs(subs)) == pytest.approx(cc.a[0, i, p], rel=1e-12, abs=1e-15)
         for j in (0, 3):
             assert float(sympy.diff(a_expr, xs[j]).subs(subs)) == pytest.approx(
-                cc.ax[0, i, p, j], rel=1e-12, abs=1e-15)
+                cc.grad[0, i, p, j], rel=1e-12, abs=1e-15)
         for q in (0, 2):
             assert float(sympy.diff(a_expr, rs[q]).subs(subs)) == pytest.approx(
-                cc.ar[0, i, p, q], rel=1e-12, abs=1e-15)
+                cc.grad[0, i, p, M + q], rel=1e-12, abs=1e-15)
         assert float(sympy.diff(a_expr, xs[1], xs[4]).subs(subs)) == pytest.approx(
-            cc.axx[0, i, p, 1, 4], rel=1e-12, abs=1e-15)
-        assert float(sympy.diff(a_expr, xs[2], rs[1]).subs(subs)) == pytest.approx(
-            cc.axr[0, i, p, 2, 1], rel=1e-12, abs=1e-15)
+            cc.hess[0, i, p, 1, 4], rel=1e-12, abs=1e-15)
+        d2_xr = float(sympy.diff(a_expr, xs[2], rs[1]).subs(subs))
+        assert d2_xr == pytest.approx(cc.hess[0, i, p, 2, M + 1], rel=1e-12, abs=1e-15)
+        assert d2_xr == pytest.approx(cc.hess[0, i, p, M + 1, 2], rel=1e-12, abs=1e-15)  # the rhat-xhat block
         assert float(sympy.diff(a_expr, rs[1], rs[2]).subs(subs)) == pytest.approx(
-            cc.arr[0, i, p, 1, 2], rel=1e-12, abs=1e-15)
+            cc.hess[0, i, p, M + 1, M + 2], rel=1e-12, abs=1e-15)
 
 
 # --- structure constants ------------------------------------------------------

@@ -6,6 +6,7 @@ from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.coord import FDScheme, first_derivative
 from isophasal.metric import CutoffProfile, polar_to_cartesian
 from isophasal import intertwine as itw
+from conftest import random_bracket
 
 M, K = 6, 3
 TF = itw.TestFunction(m=M, freq=(1, -2, 0), powers=(1, 0, 2), x_bump_rsq=1.2, u_bump_rsq=1.1)
@@ -377,6 +378,18 @@ def test_intertwine_isospectral_pairs(cross1, cross2, quaternion, reference_prof
         band = itw.build_conjugators(cross1, other, itw.mode_vectors(2, K)).values()
         assert max(c.residual_conj for c in band) <= 1e-10
         assert max(c.residual_orth for c in band) <= 1e-10
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (2, 2)])
+def test_intertwine_below_three_dimensions(m, k, reference_profile, rng):
+    # the basket's monomials are cut to the m coordinates, as its frequencies are to k
+    b1 = random_bracket(m, k, rng)
+    A = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    b2 = Bracket(A.T @ b1.tensor @ A)  # j_2(Z) = A^T j_1(Z) A for every Z
+    fns = itw.default_test_functions(m, k, reference_profile)
+    pts = itw.default_points(m, k, reference_profile, n_points=6, seed=5)
+    rep = itw.intertwine_residual(b1, b2, reference_profile, fns, pts)
+    assert rep.max_residual <= 1e-12
 
 
 def test_intertwine_negative_control(cross1, cross2):
