@@ -27,10 +27,19 @@ as counts or as rough costs.  A traced `sweep` holds one traced operation, so
 its per-layer values are single samples.  `src_tree` is the git tree of the
 side's `src/`, so a file can be matched to any commit carrying the same
 sources.
+
+Last, each side builds perfbench's workloads (`workloads.WORKLOADS`) at
+`FULL` sizes, seed 7 and ISOPHASAL_THREADS=2 from its own tree and runs each
+once in a fresh interpreter.  The outputs' `numbers` go under `numbers`, and
+`numbers_vs_other` holds per workload the number of entries, how many are
+bit-identical to the other side's, and the largest relative difference
+|a - b| / max(|a|, |b|), so the file shows whether the two sides compute the
+same numbers.  perfbench/ is only imported, never changed.
 """
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -60,6 +69,36 @@ def run_workload(tree: Path, workload: str, trace: int = 0) -> tuple[dict, dict]
            "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout.splitlines()
     return json.loads(out[-2]), json.loads(out[-1])
+
+
+NUMBERS = """
+import json, sys
+import workloads
+workload = workloads.WORKLOADS[sys.argv[1]](int(sys.argv[2]), workloads.FULL[sys.argv[1]])
+print(json.dumps(workload.numbers(workload.run())))
+"""
+
+
+def run_numbers(tree: Path, workload: str) -> list:
+    """The workload's `numbers` at FULL sizes, one operation in a fresh interpreter on this tree."""
+    env = dict(os.environ, PYTHONPATH=f"{tree / 'src'}{os.pathsep}{tree / 'perfbench'}", ISOPHASAL_THREADS="2",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-c", NUMBERS, workload, str(SEED)]
+    return json.loads(subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True, text=True).stdout)
+
+
+def flatten(numbers) -> list[float]:
+    if isinstance(numbers, list):
+        return [v for item in numbers for v in flatten(item)]
+    return [float(numbers)]
+
+
+def compare_numbers(mine: list, theirs: list) -> dict:
+    a, b = flatten(mine), flatten(theirs)
+    if len(a) != len(b):
+        return {"entries": len(a), "other_entries": len(b)}
+    rel = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y]
+    return {"entries": len(a), "bit_identical": len(a) - len(rel), "max_rel_diff": max(rel, default=0.0)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -118,6 +157,7 @@ def main(argv=None) -> int:
                 detail, result = run_workload(trees[side], workload, trace=1)
                 traces[side][workload] = {"first": position == 0, "detail": detail, "result": result}
                 print(f"trace {workload} {side}: failed {result['failed']}", flush=True)
+        numbers = {side: {w: run_numbers(trees[side], w) for w in WORKLOADS} for side in shas}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -132,6 +172,8 @@ def main(argv=None) -> int:
             "summary": summary(runs[side], runs[other], metrics),
             "runs": runs[side],
             "trace": traces[side],
+            "numbers": numbers[side],
+            "numbers_vs_other": {w: compare_numbers(numbers[side][w], numbers[other][w]) for w in WORKLOADS},
         }
         path = ROOT / f"BENCH_{sha[:7]}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -240,6 +240,13 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
     fbb = frame.frame_bundle(b, profile, xs, rs)
     R = fbb.Riem
+    # the Koszul path is the closed forms' independent reference; its float64 tau loses digits to
+    # the cancelling 1/r^2 polar terms (about 1e-11 of max|tau| at s = 16)
+    ric = np.einsum("nagbg->nab", R)
+    koszul = (np.einsum("naa->n", ric), np.einsum("nab,nab->n", ric, ric), np.einsum("nabgd,nabgd->n", R, R))
+    rel = max(float(np.max(np.abs(f - k)) / max(float(np.max(np.abs(k))), 1e-9))
+              for f, k in zip((tau_f, ric2_f, riem2_f), koszul))
+    record("frame_vs_koszul_scalars", rel, 1e-9)
     scale = float(np.max(np.abs(R)))
     sym = max(
         float(np.max(np.abs(R + R.transpose(0, 2, 1, 3, 4)))),

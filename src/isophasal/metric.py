@@ -44,6 +44,12 @@ __all__ = [
 _BUMP_EDGE = 1.0 - 1e-9
 
 
+def _real(v) -> np.ndarray:
+    """v as a float array of at least double precision; long-double input keeps its precision."""
+    v = np.asarray(v)
+    return v.astype(np.result_type(v, np.float64), copy=False)
+
+
 def bump_and_derivs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value and first two derivatives of b(t) = exp(1 - 1/(1-t)) on t < 1, else 0.
 
@@ -51,7 +57,7 @@ def bump_and_derivs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in rescaled arguments give smooth compactly supported profiles with
     closed-form partials.
     """
-    t = np.asarray(t, dtype=float)
+    t = _real(t)
     b = np.zeros_like(t)
     bp = np.zeros_like(t)
     bpp = np.zeros_like(t)
@@ -125,8 +131,8 @@ class CutoffProfile:
 
     def value_and_derivs(self, t1, t2) -> PsiDerivs:
         """phi_s and its partials in (t1, t2), batched over the inputs."""
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
+        t1 = _real(t1)
+        t2 = _real(t2)
         s2 = self.s**2
         u1 = t1 / self.r1sq
         u2 = s2 * t2 / self.r2sq

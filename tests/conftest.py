@@ -127,38 +127,15 @@ def frame_riemann_oracle(bracket, profile, pt: np.ndarray, scheme: FDScheme) -> 
     return np.einsum("rsmv,ra,sb,mc,vd->abcd", Rdn[0], E, E, E, E)
 
 
-def dense_curvature_reference(Gamma: np.ndarray, dGamma: np.ndarray, c: np.ndarray):
-    """Dense Riem[n,a,b,g,d], Ric and tau from Gamma, its frame derivatives and c.
-
-    The engine's earlier contraction, kept as the reference for curvature()'s blocks:
-    Riem[a,b,g,d] = sum_mu (Gamma[a,mu,g] Gamma[mu,b,d] - Gamma[a,mu,d] Gamma[mu,b,g]
-                            - c[mu,g,d] Gamma[a,b,mu])
-                    + E_g(Gamma[a,b,d]) - E_d(Gamma[a,b,g]),
-    assembled over all n^4 entries with no use of its symmetries.
-    """
-    npts, n = Gamma.shape[0], Gamma.shape[1]
-    mk = dGamma.shape[-1]
-    # T1[a,c,b,d] = sum_mu Gamma[a,mu,c] Gamma[mu,b,d] as (n^2 x n) @ (n x n^2)
-    left = np.ascontiguousarray(Gamma.transpose(0, 1, 3, 2)).reshape(npts, n * n, n)
-    right = Gamma.reshape(npts, n, n * n)
-    T1 = np.matmul(left, right).reshape(npts, n, n, n, n)  # [a, c, b, d]
-    T1 = T1.transpose(0, 1, 3, 2, 4)  # [a, b, c, d] (view)
-    Riem = np.ascontiguousarray(T1)
-    Riem -= T1.transpose(0, 1, 2, 4, 3)
-    # T3[a,b,c,d] = sum_mu Gamma[a,b,mu] c[mu,c,d]
-    T3 = np.matmul(Gamma.reshape(npts, n * n, n), c.reshape(npts, n, n * n))
-    Riem -= T3.reshape(npts, n, n, n, n)
-    # + E_g(Gamma[a,b,d]): nonzero only for g < m+k; - E_d(Gamma[a,b,g]): d < m+k
-    Riem[:, :, :, :mk, :] += dGamma.transpose(0, 1, 2, 4, 3)
-    Riem[:, :, :, :, :mk] -= dGamma
-    Ric = np.einsum("nagbg->nab", Riem)
-    tau = np.einsum("ngg->n", Ric)
-    return Riem, Ric, tau
-
-
 def dense_scalars_reference(bracket, profile, x: np.ndarray, r: np.ndarray):
-    """(tau, |Ric|^2, |Riem|^2) through the dense reference contraction, one batch."""
-    cc = frame.coupling_coeffs(bracket, profile, x, r)
-    c, dc = frame.structure_constants(cc, r)
-    Riem, Ric, tau = dense_curvature_reference(frame.christoffels(c), frame.christoffel_derivs(dc), c)
+    """(tau, |Ric|^2, |Riem|^2) through the dense Koszul path, one batch, in long double.
+
+    The float64 Koszul tau loses digits to the cancelling 1/r^2 polar terms
+    (1.5e-9 of max|tau| at s = 16); long double keeps the reference well below
+    the closed forms' rounding.
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    r = np.asarray(r, dtype=np.longdouble)
+    c, dc = frame.structure_constants(frame.coupling_coeffs(bracket, profile, x, r), r)
+    Riem, Ric, tau = frame.curvature(frame.christoffels(c), frame.christoffel_derivs(dc), c)
     return tau, np.einsum("nab,nab->n", Ric, Ric), np.einsum("nabcd,nabcd->n", Riem, Riem)

@@ -1,4 +1,10 @@
 import itertools
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +201,7 @@ def _negative_control():
 
 
 RANDOM_SHAPES = [(6, 3), (5, 2), (4, 2)]
+# (7, 3) has more xhat fields than the builtins; at k = 1 the p != q terms and the yttt block vanish
 PAIR_FORM_BRACKETS = {
     "cross1": lambda: builtin_bracket("cross1"),
     "cross2": lambda: builtin_bracket("cross2"),
@@ -202,7 +209,7 @@ PAIR_FORM_BRACKETS = {
     "control": _negative_control,
 } | {
     f"random-{m}-{k}": lambda m=m, k=k: random_bracket(m, k, np.random.default_rng(10 * m + k))
-    for m, k in RANDOM_SHAPES
+    for m, k in RANDOM_SHAPES + [(7, 3), (2, 1)]
 }
 
 
@@ -223,9 +230,24 @@ def test_pair_form_scalars_match_dense_reference(name, scale, reference_profile,
             assert rel <= 1e-13, (label, chunk, rel)
 
 
+# Frame types in index order: xhat (m of them), rhat (k), that (k).
+XHAT, RHAT, THAT = 0, 1, 2
+# (gamma, alpha, beta) type blocks where c can be nonzero: its that rows only
+C_TYPES = frozenset({
+    (THAT, XHAT, XHAT), (THAT, RHAT, XHAT), (THAT, XHAT, RHAT), (THAT, RHAT, THAT), (THAT, THAT, RHAT),
+})
+# ... and where Gamma can be: 11 of 27.  Gamma[g,a,b] = (c[g,b,a] + c[b,g,a] + c[a,g,b]) / 2,
+# except Gamma[that, that, rhat], where c[that, rhat, that] + c[that, that, rhat] = 0
+GAMMA_TYPES = frozenset(
+    (g, a, b) for g in range(3) for a in range(3) for b in range(3)
+    if {(g, b, a), (b, g, a), (a, g, b)} & C_TYPES
+) - {(THAT, THAT, RHAT)}
+
+
 @pytest.mark.parametrize("m,k", RANDOM_SHAPES)
 def test_frame_tensors_vanish_off_their_type_blocks(m, k, reference_profile):
-    # curvature() skips every type block outside these sets: each must be exactly zero
+    # the closed forms of curvature_scalars rest on c being nonzero only on its that rows:
+    # every type block outside these sets must be exactly zero
     rng = np.random.default_rng(7)
     bracket = random_bracket(m, k, rng)
     x, r = interior_points(rng, 20, m, k)
@@ -233,11 +255,10 @@ def test_frame_tensors_vanish_off_their_type_blocks(m, k, reference_profile):
     cc = frame.coupling_coeffs(bracket, reference_profile, x, r)
     c, dc = frame.structure_constants(cc, r)
     Gamma = frame.christoffels(c)
-    assert len(frame._GAMMA_TYPES) == 11 and len(frame._C_TYPES) == 5
+    assert len(GAMMA_TYPES) == 11 and len(C_TYPES) == 5
     for types in itertools.product(range(3), repeat=3):
         block = (slice(None),) + tuple(span[t] for t in types)
-        for name, tensor, live in (("Gamma", Gamma, frame._GAMMA_TYPES), ("c", c, frame._C_TYPES),
-                                   ("dc", dc, frame._C_TYPES)):
+        for name, tensor, live in (("Gamma", Gamma, GAMMA_TYPES), ("c", c, C_TYPES), ("dc", dc, C_TYPES)):
             if types in live:
                 assert np.any(tensor[block] != 0.0), (name, types)  # the sets are not padded
             else:
@@ -252,14 +273,42 @@ def test_zero_bracket_pair_form_flat(zero_bracket, reference_profile, scale, mon
     r = rng.uniform(0.05, 0.7, size=(50, K)) / scale
     cc = frame.coupling_coeffs(zero_bracket, profile, x, r)
     c, dc = frame.structure_constants(cc, r)
-    R, Ric, tau = frame.curvature(frame.christoffels(c), c, dc)
+    Riem, Ric, _tau = frame.curvature(frame.christoffels(c), frame.christoffel_derivs(dc), c)
     rounding = 1e-14 * np.max(np.abs(c)) ** 2  # curvature scales like c^2 (polar terms 1/r)
-    assert max(np.max(np.abs(block)) for block in R.values()) <= rounding
+    assert np.max(np.abs(Riem)) <= rounding
     assert np.max(np.abs(Ric)) <= rounding
+    # the closed forms hold no polar term: F = 0 gives exact zeros
     monkeypatch.setattr(frame, "_ENGINE_CHUNK", 7)
-    tau, ric2, riem2 = frame.curvature_scalars(zero_bracket, profile, x, r)
-    assert np.max(np.abs(tau)) <= rounding
-    assert np.max(ric2) <= rounding**2 and np.max(riem2) <= rounding**2
+    for scalar in frame.curvature_scalars(zero_bracket, profile, x, r):
+        assert scalar.tolist() == [0.0] * len(x)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap and trim thresholds")
+def test_curvature_scalars_reuses_its_pages_in_process():
+    # outside the pool's allocator policy, separate arrays for F, dF and M fault their pages in
+    # afresh on every call (about 800 minor faults at 86 points); one buffer per batch does not
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from isophasal import frame
+        from isophasal.brackets import builtin_bracket
+        from isophasal.metric import CutoffProfile
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-0.4, 0.4, size=(86, 6))  # all inside the support
+        r = rng.uniform(0.2, 0.5, size=(86, 3))
+        args = (builtin_bracket("quaternion"), CutoffProfile(r1sq=1.0, r2sq=1.0), x, r)
+        for _ in range(3):
+            frame.curvature_scalars(*args)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            frame.curvature_scalars(*args)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(frame.__file__).resolve().parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert float(out.stdout) < 100
 
 
 @pytest.mark.parametrize("name", list(PAIR_FORM_BRACKETS))
