@@ -13,8 +13,9 @@ Commands:
     sweep       a2 across the scale list plus the exponent-ladder fit (CSV)
     intertwine  Laplacian intertwining residual of bracket against bracket2;
                 without bracket2 it exits 2
-    validate    oracle self-tests, frame-vs-oracle cross checks and the torus
-                equivariance of the metric
+    validate    oracle self-tests, the engine's closed forms against the
+                finite-difference oracle and the dense Koszul path, and the
+                torus equivariance of the metric
 
 Artifacts are JSON lines (one record per result, sorted keys, no volatile
 fields) plus a CSV for the sweep table, so repeated runs with the same

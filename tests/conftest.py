@@ -131,8 +131,8 @@ def dense_scalars_reference(bracket, profile, x: np.ndarray, r: np.ndarray):
     """(tau, |Ric|^2, |Riem|^2) through the dense Koszul path, one batch, in long double.
 
     The float64 Koszul tau loses digits to the cancelling 1/r^2 polar terms
-    (1.5e-9 of max|tau| at s = 16); long double keeps the reference well below
-    the closed forms' rounding.
+    (about 1e-11 of max|tau| for cross1 at s = 16); long double keeps the
+    reference well below the closed forms' rounding.
     """
     x = np.asarray(x, dtype=np.longdouble)
     r = np.asarray(r, dtype=np.longdouble)
