@@ -19,20 +19,32 @@ stream of scipy.stats.qmc.Sobol(scramble=True), at most 2**30 nodes in at most
 32 dimensions.  A node counts
 only where frame._usable_nodes admits it (inside the cutoff support, every
 plane radius above the frame's floor); the others contribute an exact zero,
-the same rule as frame.a2_integrand.  Each replicate is cut into fixed slices
-of _TASK_CHUNK nodes, and one loop evaluates them in order: in this process
-when there is one worker or a single slice, else on a fork pool whose ordered
-imap returns them in the same order.  The polar weight is applied once to the
-concatenated replicate, and the reduction is a fixed-order pairwise sum over
-node index, so results are bit-identical for any worker count, which
-resolve_workers alone decides.
+the same rule as frame.a2_integrand.
+
+One call integrates one bracket over a list of profiles (one for
+integrate_a2, one per scale for sweep_s) as a single ordered stream of slice
+tasks.  Every preflight runs first.  Each replicate is cut into fixed slices
+of _TASK_CHUNK nodes; the calling process draws only each replicate's
+scramble (shift and direction columns, shared by all profiles), and the task
+draws its own slice of nodes from it, wherever it runs.  The stream runs in
+this process when there is one worker or a replicate is a single slice,
+else on one fork-context ProcessPoolExecutor whose ordered map returns the
+slices in stream order.  The polar weight is applied per node in the task,
+each replicate's slices are concatenated, and the reduction is a fixed-order
+pairwise sum over node index, so results are bit-identical for any worker
+count, which resolve_workers alone decides.  The executor, not
+multiprocessing.Pool, feeds the stream: Pool's worker-handler thread counts
+the result pipe among the handles it waits on, so it spins while a result
+sits unread, which cost about 0.4 s of the calling process's CPU per
+benchmark sweep on 2 vCPUs; the executor's manager thread blocks until a
+worker answers.
 
 Pool workers run under a fixed glibc allocator policy: an mmap threshold of
 32 MiB and a trim threshold of 256 MiB, both static.  Under glibc's default
 dynamic thresholds each engine batch hands its working set back to the OS
 and faults it in again, which cost the sweep about a quarter of its CPU time
 in system time.  The policy is set only in the worker processes this module
-forks and ends; the caller's process, and batches it evaluates itself, keep
+forks and joins; the caller's process, and batches it evaluates itself, keep
 the default.  The arithmetic is the same either way.
 
 The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over SWEEP_DEGREES,
@@ -48,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import time
@@ -88,7 +101,8 @@ SWEEP_DEGREES = (2, 1, 0, -1, -2)
 THETA_EQUIVARIANCE_TOL = 1e-12
 _PREFLIGHT_POINTS = 256
 _PREFLIGHT_SEED = 2024
-_TASK_CHUNK = 4096  # nodes in one slice of a replicate (fixed: determinism)
+_TASK_CHUNK = 4096  # nodes in one slice of a replicate (fixed: determinism; a power of two: _fill_nodes)
+_STREAM_CHUNKSIZE = 4  # slice tasks per pickled batch on the pool's ordered map
 _CONSISTENCY_SIGMAS = 3.0  # isophasal_consistency's bound on |difference| / combined error
 _SOBOL_BITS = 30  # bits per Sobol' coordinate; a replicate holds at most 2**30 nodes
 # Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008) for the
@@ -189,6 +203,8 @@ class QuadratureResult:
     n_replicates: int
     seed: int
     inside_fraction: float  # mean of replicate_inside_fractions
+    # seconds from the start of the call (preflights included) until this profile's last slice
+    # came back; profiles sharing one stream (sweep_s) read cumulative times.  Never in artifacts.
     wall_time: float
     replicate_values: tuple[float, ...]
     replicate_inside_fractions: tuple[float, ...]
@@ -245,20 +261,17 @@ def _sobol_directions(dim: int) -> np.ndarray:
     return v
 
 
-def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
-    """Unit-box nodes for one replicate: scrambled Sobol' points, seeded by (seed, replicate).
+def _scramble(spec: QuadratureSpec, replicate: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """One replicate's random digital shift (dim,) and scrambled direction columns (dim, _SOBOL_BITS).
 
-    The scramble is a random lower-triangular GF(2) matrix per dimension
-    (unit diagonal, bit rows read most significant first) applied to the
-    direction integers, plus a random digital shift (Matousek 1998).  The
-    array equals qmc.Sobol(d=dim, scramble=True,
-    seed=np.random.default_rng([seed, replicate])).random(n_nodes) from
-    scipy.stats bit for bit: the same child seed sequence scipy spawns, the
-    same draws in the same order (shift, then matrices), and the same
-    Gray-code order of points.  dim is at most len(_JOE_KUO).
+    Seeded by (seed, replicate).  The scramble is a random lower-triangular
+    GF(2) matrix per dimension (unit diagonal, bit rows read most significant
+    first) applied to the direction integers, plus a random digital shift
+    (Matousek 1998): the same child seed sequence scipy.stats' Sobol' spawns
+    and the same draws in the same order (shift, then matrices).  dim is at
+    most len(_JOE_KUO).
     """
     bits = _SOBOL_BITS
-    n = spec.n_nodes
     seq = np.random.SeedSequence([spec.seed, replicate], spawn_key=(0,))
     rng = np.random.Generator(np.random.PCG64(seq))
     powers = np.uint32(1) << np.arange(bits, dtype=np.uint32)
@@ -268,11 +281,26 @@ def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
     msb_first = np.arange(bits - 1, -1, -1, dtype=np.uint32)[:, None]
     v_bits = (_sobol_directions(dim)[:, None, :] >> msb_first) & 1
     directions = (((ltm @ v_bits) & 1) << msb_first).sum(axis=1, dtype=np.uint32)
-    # Point i is shift ^ XOR of directions[:, b] over the set bits b of gray(i).
-    # gray(f + t) = f | gray(f - 1 - t) for f = 2**j > t, so each block of
-    # points is the one before it, reversed, XOR the next direction column.
-    points = np.empty((n, dim), dtype=np.uint32)
+    return shift, directions
+
+
+def _fill_nodes(shift: np.ndarray, directions: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Unit-box nodes lo..hi-1, in Gray-code order, of the replicate that (shift, directions) scramble.
+
+    Point i is shift ^ XOR of directions[:, b] over the set bits b of gray(i).
+    gray(f + t) = f | gray(f - 1 - t) for f = 2**j > t, so each block of
+    points is the one before it, reversed, XOR the next direction column.
+    lo must be 0 or a multiple of a power of two 2**j >= hi - lo: then
+    gray(lo + t) = gray(lo) ^ gray(t) for t < 2**j, and the slice is the same
+    recurrence started from point lo.
+    """
+    n = hi - lo
+    gray = lo ^ (lo >> 1)
+    points = np.empty((n, shift.shape[0]), dtype=np.uint32)
     points[0] = shift
+    for b in range(_SOBOL_BITS):
+        if (gray >> b) & 1:
+            points[0] ^= directions[:, b]
     filled = 1
     for column in directions.T:
         if filled == n:
@@ -280,18 +308,36 @@ def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
         size = min(filled, n - filled)
         np.bitwise_xor(points[filled - size : filled][::-1], column, out=points[filled : filled + size])
         filled += size
-    return points * 2.0**-bits
+    return points * 2.0**-_SOBOL_BITS
 
 
-def _eval_slice(task) -> tuple[np.ndarray, int]:
-    """The a2 density on one slice of nodes (exact zeros where not admitted) and its admitted count.
+def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
+    """Unit-box nodes for one whole replicate: scrambled Sobol' points, seeded by (seed, replicate).
 
-    task is (bracket, profile, x, r), one argument so that map and Pool.imap
-    both call it.
+    The array equals qmc.Sobol(d=dim, scramble=True,
+    seed=np.random.default_rng([seed, replicate])).random(n_nodes) from
+    scipy.stats bit for bit: the same scramble (_scramble) and the same
+    Gray-code order of points (_fill_nodes from 0).
     """
-    bracket, profile, x, r = task
+    return _fill_nodes(*_scramble(spec, replicate, dim), 0, spec.n_nodes)
+
+
+def _slice_contributions(task) -> tuple[np.ndarray, int]:
+    """One slice's weighted a2 density dens * (2 pi)^k * prod_p r_p and its admitted count.
+
+    task is (bracket, profile, shift, directions, lo, hi), one argument so
+    that map and the executor's map both call it.  The slice's nodes lo..hi-1
+    are drawn here from the replicate's scramble and mapped onto the
+    profile's (x, r) box.  Nodes frame._admitted_density does not admit are
+    exact zeros, and stay zero under the nonnegative polar weight.
+    """
+    bracket, profile, shift, directions, lo, hi = task
+    box = _fill_nodes(shift, directions, lo, hi)
+    m = bracket.m
+    x = (2.0 * box[:, :m] - 1.0) * profile.x_radius
+    r = box[:, m:] * profile.u_radius
     dens, keep = frame._admitted_density(bracket, profile, x, r)
-    return dens, int(np.count_nonzero(keep))
+    return dens * (2.0 * math.pi) ** bracket.k * np.prod(r, axis=1), int(np.count_nonzero(keep))
 
 
 def _worker_malloc_policy() -> None:
@@ -301,7 +347,9 @@ def _worker_malloc_policy() -> None:
     which otherwise tracks the largest freed block and returns each engine
     batch's arrays to the OS, to be faulted in again by the next batch.  A
     no-op off glibc or when the library or mallopt is unavailable.  It must
-    never raise: a Pool whose initializer raises respawns its workers forever.
+    never raise: an initializer that raises breaks the executor (every
+    pending task fails with BrokenProcessPool) instead of respawning its
+    workers, so the whole integration would fail.
     """
     try:
         import ctypes
@@ -321,17 +369,26 @@ def _worker_malloc_policy() -> None:
 
 @contextlib.contextmanager
 def _node_pool(n_nodes: int, workers: int):
-    """One fork pool for every slice of an integrate_a2 call, or None when the slices run in process.
+    """One fork-context process pool for every slice of an integration's stream, or None in process.
 
-    Each worker runs _worker_malloc_policy first, so engine batches reuse
-    its heap instead of page-faulting it in afresh.  The policy lives and
-    dies with the workers; the calling process keeps its allocator settings.
+    In process when there is one worker or a replicate of n_nodes is a
+    single slice.  Each worker runs _worker_malloc_policy first, so engine
+    batches reuse its heap instead of page-faulting it in afresh.  The policy
+    lives and dies with the workers; the calling process keeps its allocator
+    settings.  On leaving, queued tasks are cancelled (there are some only
+    after an error) and the workers are joined, so no process outlives the
+    call.
     """
     if workers <= 1 or n_nodes <= _TASK_CHUNK:
         yield None
         return
-    with get_context("fork").Pool(processes=workers, initializer=_worker_malloc_policy) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_worker_malloc_policy)
+    try:
         yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -375,53 +432,68 @@ def preflight_theta_invariance(bracket: Bracket, profile: CutoffProfile) -> floa
     return worst
 
 
-def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec) -> QuadratureResult:
-    """a2(g) over the support box with the angular factor integrated out exactly."""
+def _integrate_profiles(
+    bracket: Bracket, profiles: Sequence[CutoffProfile], spec: QuadratureSpec
+) -> list[QuadratureResult]:
+    """integrate_a2 of one bracket for each profile, under one spec, as one ordered stream of slices.
+
+    Every preflight runs before any slice.  The tasks run profile by
+    profile, replicate by replicate, slice by slice, on one pool at most
+    (see the module docstring); all profiles share the replicates' nodes in
+    the unit box.
+    """
     t_start = time.perf_counter()
     m, k = bracket.m, bracket.k
     if m + k > len(_JOE_KUO):
         raise SamplerDimensionError(
             f"the Sobol' sampler covers at most {len(_JOE_KUO)} dimensions, got m + k = {m + k}"
         )
-    rx = profile.x_radius
-    rr = profile.u_radius
     workers = resolve_workers()
-    deviation = preflight_theta_invariance(bracket, profile) if spec.preflight else None
-
-    vol_box = (2.0 * rx) ** m * rr**k
-    rep_values = []
-    inside_fracs = []
-    with _node_pool(spec.n_nodes, workers) as pool:
-        for rep in range(spec.n_replicates):
-            box = _sample_box(spec, rep, m + k)
-            x = (2.0 * box[:, :m] - 1.0) * rx
-            r = box[:, m:] * rr
-            slices = [
-                (bracket, profile, x[lo : lo + _TASK_CHUNK], r[lo : lo + _TASK_CHUNK])
-                for lo in range(0, spec.n_nodes, _TASK_CHUNK)
-            ]
-            dens, usable = zip(*(pool.imap if pool else map)(_eval_slice, slices))
-            # exact zeros stay zero under the nonnegative polar weight
-            contrib = np.concatenate(dens) * (2.0 * math.pi) ** k * np.prod(r, axis=1)
-            inside_fracs.append(sum(usable) / spec.n_nodes)
-            rep_values.append(vol_box * float(np.sum(contrib)) / spec.n_nodes)
-    if max(inside_fracs) == 0.0:
-        raise DegenerateNodesError("no quadrature nodes hit the integrand support")
-    rep_values = np.asarray(rep_values)
-    value = float(np.mean(rep_values))
-    std_error = float(np.std(rep_values, ddof=1) / math.sqrt(spec.n_replicates))
-    return QuadratureResult(
-        value=value,
-        std_error=std_error,
-        n_nodes=spec.n_nodes,
-        n_replicates=spec.n_replicates,
-        seed=spec.seed,
-        inside_fraction=float(np.mean(inside_fracs)),
-        wall_time=time.perf_counter() - t_start,
-        replicate_values=tuple(float(v) for v in rep_values),
-        replicate_inside_fractions=tuple(inside_fracs),
-        preflight_deviation=deviation,
+    deviations = [preflight_theta_invariance(bracket, p) if spec.preflight else None for p in profiles]
+    scrambles = [_scramble(spec, rep, m + k) for rep in range(spec.n_replicates)]
+    bounds = [(lo, min(lo + _TASK_CHUNK, spec.n_nodes)) for lo in range(0, spec.n_nodes, _TASK_CHUNK)]
+    tasks = (
+        (bracket, profile, shift, directions, lo, hi)
+        for profile in profiles
+        for shift, directions in scrambles
+        for lo, hi in bounds
     )
+    results = []
+    with _node_pool(spec.n_nodes, workers) as pool:
+        if pool is None:
+            stream = map(_slice_contributions, tasks)
+        else:
+            stream = pool.map(_slice_contributions, tasks, chunksize=_STREAM_CHUNKSIZE)
+        for profile, deviation in zip(profiles, deviations):
+            vol_box = (2.0 * profile.x_radius) ** m * profile.u_radius**k
+            rep_values = []
+            inside_fracs = []
+            for _ in scrambles:
+                contrib, usable = zip(*itertools.islice(stream, len(bounds)))
+                inside_fracs.append(sum(usable) / spec.n_nodes)
+                rep_values.append(vol_box * float(np.sum(np.concatenate(contrib))) / spec.n_nodes)
+            if max(inside_fracs) == 0.0:
+                raise DegenerateNodesError("no quadrature nodes hit the integrand support")
+            rep_values = np.asarray(rep_values)
+            results.append(QuadratureResult(
+                value=float(np.mean(rep_values)),
+                std_error=float(np.std(rep_values, ddof=1) / math.sqrt(spec.n_replicates)),
+                n_nodes=spec.n_nodes,
+                n_replicates=spec.n_replicates,
+                seed=spec.seed,
+                inside_fraction=float(np.mean(inside_fracs)),
+                wall_time=time.perf_counter() - t_start,
+                replicate_values=tuple(float(v) for v in rep_values),
+                replicate_inside_fractions=tuple(inside_fracs),
+                preflight_deviation=deviation,
+            ))
+    return results
+
+
+def integrate_a2(bracket: Bracket, profile: CutoffProfile, spec: QuadratureSpec) -> QuadratureResult:
+    """a2(g) over the support box with the angular factor integrated out exactly."""
+    (result,) = _integrate_profiles(bracket, [profile], spec)
+    return result
 
 
 def sweep_exponents(k: int) -> tuple[int, ...]:
@@ -521,11 +593,12 @@ def sweep_s(
 
     The r-box tracks the shrinking support (radius sqrt(r2sq)/s), so the
     effective node density in the support is scale independent.  With
-    spec.preflight set, each scaled profile is certified before it is
-    integrated, since each is a different metric.  Bad scales raise ValueError first.
+    spec.preflight set, every scaled profile is certified before any is
+    integrated, since each is a different metric.  All scales share one
+    stream of slice tasks and at most one pool.  Bad scales raise ValueError first.
     """
     s_arr = _scale_list(s_list)
-    results = [integrate_a2(bracket, profile.scaled(s), spec) for s in s_arr]
+    results = _integrate_profiles(bracket, [profile.scaled(s) for s in s_arr], spec)
     fit = fit_sweep(s_arr, [r.value for r in results], [r.std_error for r in results], bracket.k)
     return dataclasses.replace(fit, preflight_deviations=tuple(r.preflight_deviation for r in results))
 

@@ -49,7 +49,7 @@ def opened_pools(monkeypatch):
     def spy(*args, **kwargs):
         with node_pool(*args, **kwargs) as pool:
             if pool is not None:
-                opened.append(pool._processes)
+                opened.append(pool._max_workers)
             yield pool
 
     monkeypatch.setattr(heat, "_node_pool", spy)

@@ -253,7 +253,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch, opened_pools):
             cli_main([cmd, "--config", str(cfg), "--out", str(tmp_path / d)])
         if d == "o1":
             assert opened_pools == []
-    assert opened_pools == [2] * 7  # two a2 integrations (bracket, bracket2), five sweep scales
+    assert opened_pools == [2] * 3  # two a2 integrations (bracket, bracket2), one sweep stream
     identical = all(
         (tmp_path / "o1" / art).read_bytes() == (tmp_path / "o2" / art).read_bytes()
         for art in artifacts

@@ -7,6 +7,7 @@ import platform
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,18 @@ def test_sample_box_pinned_nodes():
     assert nodes.tolist() == [[float.fromhex(h) for h in row] for row in expected]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 3])
+def test_slices_match_sample_box(seed):
+    # three slices, the last one short: each drawn alone from the replicate's scramble
+    spec = QuadratureSpec(n_nodes=2 * heat._TASK_CHUNK + 1808, seed=seed)
+    for replicate in (0, 1, 11):
+        whole = heat._sample_box(spec, replicate, 9)
+        shift, directions = heat._scramble(spec, replicate, 9)
+        for lo in range(0, spec.n_nodes, heat._TASK_CHUNK):
+            hi = min(lo + heat._TASK_CHUNK, spec.n_nodes)
+            assert np.array_equal(heat._fill_nodes(shift, directions, lo, hi), whole[lo:hi]), (replicate, lo)
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(isophasal.__file__).resolve().parents[1])
     code = "import isophasal.cli, sys; print('scipy.stats' in sys.modules)"
@@ -187,6 +200,55 @@ def test_worker_count_invariance(cross1, reference_profile, monkeypatch, opened_
     _same_result(r1, r2)
 
 
+SCALES = [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+def test_sweep_runs_one_stream_on_one_pool(cross1, reference_profile, monkeypatch, opened_pools):
+    spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808)
+    separate = [integrate_a2(cross1, reference_profile.scaled(s), spec) for s in SCALES]
+    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sweeps = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ISOPHASAL_THREADS", threads)
+        sweeps.append(sweep_s(cross1, reference_profile, SCALES, spec))
+    assert opened_pools == [2]  # one pool for all five scales
+    for res in sweeps:
+        assert res.a2_values == tuple(r.value for r in separate)
+        assert res.std_errors == tuple(r.std_error for r in separate)
+    assert sweeps[0] == sweeps[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_error_cancels_the_stream(cross1, reference_profile, monkeypatch, opened_pools, tmp_path):
+    # 24 slice tasks per scale; the engine fails on every slice of the third scale
+    spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808, n_replicates=8)
+    log = tmp_path / "calls"
+    admitted_density = frame._admitted_density
+
+    def spy(bracket, profile, x, r):
+        if profile.s == 4.0:
+            raise RuntimeError("engine failed at s = 4")
+        with open(log, "a") as fh:  # the workers' calls, one line each
+            fh.write(f"{profile.s}\n")
+        if profile.s > 4.0:
+            time.sleep(0.1)
+        return admitted_density(bracket, profile, x, r)
+
+    monkeypatch.setattr(frame, "_admitted_density", spy)
+    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("ISOPHASAL_THREADS", "2")
+    with pytest.raises(RuntimeError, match="s = 4"):
+        sweep_s(cross1, reference_profile, SCALES, spec)
+    assert opened_pools == [2]
+    calls = [float(line) for line in log.read_text().split()]
+    assert calls.count(1.0) == calls.count(2.0) == 24
+    # the queued tasks of the last two scales (48) were cancelled: only the
+    # batches already handed to the workers ran (CPython 3.11: 2 running and
+    # 3 queued, 5 * 4 = 20 slices at 0.1 s each)
+    assert len(calls) - 48 < 24
+    assert multiprocessing.active_children() == []
+
+
 def _support_points(profile, n, seed=0):
     """n uniform box nodes that integrate_a2 would hand to the engine (inside the support)."""
     rng = np.random.default_rng(seed)
@@ -221,7 +283,7 @@ def test_pool_workers_reuse_their_heap(cross1, reference_profile):
     # about 6 faults per point and pass; the worker policy reuses the heap
     x, r = _support_points(reference_profile, 1000)
     with heat._node_pool(10 * heat._TASK_CHUNK, 2) as pool:
-        faults = pool.apply(_engine_minor_faults, ((cross1.tensor, reference_profile, x, r),))
+        faults = pool.submit(_engine_minor_faults, (cross1.tensor, reference_profile, x, r)).result()
     assert faults < x.shape[0], faults
 
 
