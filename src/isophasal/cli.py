@@ -207,10 +207,10 @@ def _cmd_validate(cfg: RunConfig) -> int:
     record("conformal_oracle_tau", conf.max_abs_err, 1e-5)
     record("conformal_sign_flip_linearity", conf.flip_linearity_err, 1e-2)
 
-    bz = builtin_bracket("zero")
+    # the zero bracket of the configured shape: its metric is flat
     xs = rng.uniform(-0.8, 0.8, size=(100, b.m)) * profile.x_radius
     rs = rng.uniform(0.1, 0.7, size=(100, b.k)) * profile.u_radius
-    fb = frame.frame_bundle(bz, profile, xs, rs)
+    fb = frame.frame_bundle(b.scaled(0.0), profile, xs, rs)
     record("zero_bracket_flatness", float(np.max(np.abs(fb.Riem))), 1e-9)
 
     xs = rng.uniform(-1.2, 1.2, size=(1000, b.m)) * profile.x_radius

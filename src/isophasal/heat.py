@@ -14,12 +14,13 @@ curvature scalar theta-invariant.  The nodes are Sobol' points (Joe-Kuo
 direction numbers) under linear matrix scrambling plus a random digital shift
 (Matousek, J. Complexity 14, 1998), scrambled afresh per replicate, which gives
 both fast convergence and an honest replicate-spread error estimate; it is the
-only sampler.  _sample_box generates them with numpy alone, bit for bit the
-stream of scipy.stats.qmc.Sobol(scramble=True), at most 2**30 nodes in at most
-32 dimensions.  A node counts
-only where frame._usable_nodes admits it (inside the cutoff support, every
-plane radius above the frame's floor); the others contribute an exact zero,
-the same rule as frame.a2_integrand.
+only sampler.  The run path draws each replicate's scramble with _scramble and
+each slice of its nodes with _fill_nodes, numpy alone; _sample_box is the
+whole-replicate form, bit for bit the stream of
+scipy.stats.qmc.Sobol(scramble=True), at most 2**30 nodes in at most 32
+dimensions.  A node counts only where frame._usable_nodes admits it (inside
+the cutoff support, every plane radius above the frame's floor); the others
+contribute an exact zero, the same rule as frame.a2_integrand.
 
 One call integrates one bracket over a list of profiles (one for
 integrate_a2, one per scale for sweep_s) as a single ordered stream of slice
@@ -70,8 +71,7 @@ from typing import Sequence
 import numpy as np
 
 from .brackets import Bracket
-from .metric import CutoffProfile, plane_rotation
-from . import coord
+from .metric import CutoffProfile, metric_at, plane_rotation
 from . import frame
 
 __all__ = [
@@ -404,8 +404,8 @@ def preflight_theta_invariance(bracket: Bracket, profile: CutoffProfile) -> floa
     Checks G(x, R_theta u) = D_theta G(x, u) D_theta^T with
     D_theta = diag(I_m, plane_rotation(theta)) on a fixed-seed batch of points
     drawn uniformly from the support {|x| < x_radius, |u| < u_radius}, each
-    paired with a random rotation, in one batched call of the Cartesian metric
-    from coord.make_metric_fn.  Isometric torus action makes every curvature
+    paired with a random rotation, in one batched call of metric_at on the
+    base and rotated points.  Isometric torus action makes every curvature
     scalar theta-invariant, which is what the angular reduction needs; unlike a
     curvature comparison, the check holds to rounding rather than to a
     finite-difference floor.  Returns max|G(R p) - D G(p) D^T| / max|G| and
@@ -419,8 +419,7 @@ def preflight_theta_invariance(bracket: Bracket, profile: CutoffProfile) -> floa
     u = _uniform_ball(rng, npts, 2 * k, profile.u_radius)
     R = plane_rotation(rng.uniform(0.0, 2.0 * math.pi, size=(npts, k)))
     u_rot = np.einsum("nab,nb->na", R, u)
-    fn = coord.make_metric_fn(bracket, profile)
-    G = fn(np.concatenate([np.concatenate([x, u], axis=1), np.concatenate([x, u_rot], axis=1)]))
+    G = metric_at(bracket, profile, np.concatenate([x, x]), np.concatenate([u, u_rot]))
     G_base, G_rot = G[:npts], G[npts:]
     D = np.zeros_like(G_base)
     D[:, np.arange(m), np.arange(m)] = 1.0

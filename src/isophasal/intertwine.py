@@ -24,11 +24,11 @@ Each test function is a product of four factors (a bump and a monomial in x,
 a bump and a monomial in the complex plane coordinates of u), and its value,
 gradient and Hessian come from one product rule applied to the factors'
 closed forms.  The Laplacian is exact up to rounding: the family is
-unimodular, so Delta f = -d_mu(G^{mu nu} d_nu f), and both the inverse metric
-and its divergence d_mu G^{mu nu} have closed forms; no derivative is taken
-numerically.  Angular modes come from one np.fft.fftn over the angle axes of
-the values on a torus grid, and the transport evaluates every fiber it needs
-in a fixed handful of batched Laplacian calls.
+unimodular, so Delta f = -d_mu(G^{mu nu} d_nu f), and metric supplies both the
+inverse metric and its divergence d_mu G^{mu nu} in closed form; no derivative
+is taken numerically.  Angular modes come from one np.fft.fftn over the angle
+axes of the values on a torus grid, and the transport evaluates every fiber it
+needs in a fixed handful of batched Laplacian calls.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .brackets import Bracket, ConjugatorReport, conjugator
-from .metric import CutoffProfile, bump_and_derivs, inverse_metric_at, polar_to_cartesian, psi
+from .metric import CutoffProfile, bump_and_derivs, inverse_metric_at, inverse_metric_divergence, polar_to_cartesian
 
 __all__ = [
     "TestFunction",
@@ -50,7 +50,6 @@ __all__ = [
     "mode_vectors",
     "build_conjugators",
     "apply_Q",
-    "inverse_metric_divergence",
     "laplacian",
     "IntertwineReport",
     "intertwine_residual",
@@ -286,28 +285,6 @@ def apply_Q(conjugators: dict[tuple[int, ...], ConjugatorReport], f: TestFunctio
     return RotatedFunction(base=f, A=conjugators[Z].A)
 
 
-def inverse_metric_divergence(
-    bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Closed-form d_mu G^{mu nu} of G^-1 = [[I, psi K^T], [psi K, I + psi^2 K K^T]], shape (N, n).
-
-    With L_ip = <[x, e_i], Z_p>, plane p of K is the rows (-L_ip u_{2p+1},
-    L_ip u_{2p}).  Lambda is skew, so sum_i x_i L_ip = 0 and d_{x_i} L_ip = 0;
-    u^T K = 0; and each row of K depends only on the other coordinate of its
-    plane.  Every term of the x block cancels, and on plane p only
-    -psi^2 (sum_i L_ip^2) u_p survives, from the u-derivatives of K K^T.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    m = bracket.m
-    pv = psi(profile, x, u).value
-    L = np.einsum("nj,pji->nip", x, bracket.tensor)
-    weight = pv[:, None] ** 2 * np.einsum("nip,nip->np", L, L)  # (N, k)
-    div = np.zeros((x.shape[0], m + u.shape[1]))
-    div[:, m:] = -np.repeat(weight, 2, axis=1) * u
-    return div
-
-
 def laplacian(
     bracket: Bracket,
     profile: CutoffProfile,
@@ -316,8 +293,8 @@ def laplacian(
 ) -> np.ndarray:
     """Positive Laplacian -d_mu(G^{mu nu} d_nu f) at Cartesian points.
 
-    The determinant of G is one, so no volume factor appears.  G^{-1} is the
-    closed-form block inverse and its divergence the closed form of
+    The determinant of G is one, so no volume factor appears.  G^{-1} and its
+    divergence are metric's closed forms, inverse_metric_at and
     inverse_metric_divergence; the gradient and Hessian of f come from
     f.value_grad_hess.
     """

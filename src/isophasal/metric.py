@@ -14,6 +14,8 @@ and K is the 2k x m coupling matrix assembled from the bracket.  In block form
          [-psi K,              I_2k   ]],
 
 which has det G = 1 identically, so the Riemannian measure is Lebesgue.
+inverse_metric_at and inverse_metric_divergence give G^-1 and d_mu G^{mu nu}
+in closed form.
 
 Everything here is batched: point arguments are arrays of shape (N, m) and
 (N, 2k) and metric values come back as (N, n, n) with n = m + 2k.
@@ -32,10 +34,10 @@ from .brackets import Bracket
 __all__ = [
     "CutoffProfile",
     "PsiDerivs",
-    "psi",
     "coupling_matrix",
     "metric_at",
     "inverse_metric_at",
+    "inverse_metric_divergence",
     "polar_to_cartesian",
     "plane_rotation",
 ]
@@ -151,13 +153,25 @@ class CutoffProfile:
         )
 
 
-def psi(profile: CutoffProfile, x: np.ndarray, u: np.ndarray) -> PsiDerivs:
-    """psi(x, u) = phi_s(|x|^2, |u|^2) with its partials in the two slots."""
+def _psi_and_L(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray):
+    """(u, psi, L) for a batch of points: psi = phi_s(|x|^2, |u|^2) and L[n, i, p] = <[x, e_i], Z_p>.
+
+    metric_at, inverse_metric_at and inverse_metric_divergence all read the
+    field from here; u comes back as the float array K is built from.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    t1 = np.sum(x * x, axis=1)
-    t2 = np.sum(u * u, axis=1)
-    return profile.value_and_derivs(t1, t2)
+    pv = profile.value_and_derivs(np.sum(x * x, axis=1), np.sum(u * u, axis=1)).value
+    # L[n, i, p] = sum_j x_j Lambda[p, j, i]
+    return u, pv, np.einsum("nj,pji->nip", x, bracket.tensor)
+
+
+def _coupling(L: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """K of shape (N, 2k, m) from L: the plane-p row pair is (-L_ip u_{2p+1}, L_ip u_{2p})."""
+    K = np.zeros((L.shape[0], 2 * L.shape[2], L.shape[1]))
+    K[:, 0::2, :] = np.einsum("nip,np->npi", L, -u[:, 1::2])
+    K[:, 1::2, :] = np.einsum("nip,np->npi", L, u[:, 0::2])
+    return K
 
 
 def coupling_matrix(bracket: Bracket, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -167,26 +181,16 @@ def coupling_matrix(bracket: Bracket, x: np.ndarray, u: np.ndarray) -> np.ndarra
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    npts = x.shape[0]
-    m, k = bracket.m, bracket.k
-    # L[n, i, p] = <[x, e_i], Z_p> = sum_j x_j Lambda[p, j, i]
-    L = np.einsum("nj,pji->nip", x, bracket.tensor)
-    K = np.zeros((npts, 2 * k, m))
-    K[:, 0::2, :] = np.einsum("nip,np->npi", L, -u[:, 1::2])
-    K[:, 1::2, :] = np.einsum("nip,np->npi", L, u[:, 0::2])
-    return K
+    return _coupling(np.einsum("nj,pji->nip", x, bracket.tensor), u)
 
 
 def metric_at(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Metric matrices G(x, u), shape (N, n, n); G = I outside the cutoff support."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    npts = x.shape[0]
-    m, k = bracket.m, bracket.k
-    n = m + 2 * k
-    pv = psi(profile, x, u).value
-    K = coupling_matrix(bracket, x, u)
-    G = np.zeros((npts, n, n))
+    u, pv, L = _psi_and_L(bracket, profile, x, u)
+    m = bracket.m
+    n = m + 2 * bracket.k
+    K = _coupling(L, u)
+    G = np.zeros((u.shape[0], n, n))
     G[:, np.arange(n), np.arange(n)] = 1.0
     KK = np.einsum("n,nci,ncj->nij", pv * pv, K, K)
     G[:, :m, :m] += 0.5 * (KK + KK.transpose(0, 2, 1))  # bit-exact symmetry
@@ -198,20 +202,35 @@ def metric_at(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.nda
 
 def inverse_metric_at(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Closed-form inverse: G^-1 = [[I, psi K^T], [psi K, I + psi^2 K K^T]]."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    npts = x.shape[0]
-    m, k = bracket.m, bracket.k
-    n = m + 2 * k
-    pv = psi(profile, x, u).value
-    K = coupling_matrix(bracket, x, u)
-    Gi = np.zeros((npts, n, n))
+    u, pv, L = _psi_and_L(bracket, profile, x, u)
+    m = bracket.m
+    n = m + 2 * bracket.k
+    K = _coupling(L, u)
+    Gi = np.zeros((u.shape[0], n, n))
     Gi[:, np.arange(n), np.arange(n)] = 1.0
     psiK = pv[:, None, None] * K
     Gi[:, :m, m:] = psiK.transpose(0, 2, 1)
     Gi[:, m:, :m] = psiK
     Gi[:, m:, m:] += np.einsum("n,nai,nbi->nab", pv * pv, K, K)
     return Gi
+
+
+def inverse_metric_divergence(
+    bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Closed-form d_mu G^{mu nu} of inverse_metric_at's block inverse, shape (N, n).
+
+    Plane p of K is the rows (-L_ip u_{2p+1}, L_ip u_{2p}).  Lambda is skew,
+    so sum_i x_i L_ip = 0 and d_{x_i} L_ip = 0; u^T K = 0; and each row of K
+    depends only on the other coordinate of its plane.  Every term of the x
+    block cancels, and on plane p only -psi^2 (sum_i L_ip^2) u_p survives,
+    from the u-derivatives of K K^T.
+    """
+    u, pv, L = _psi_and_L(bracket, profile, x, u)
+    weight = pv[:, None] ** 2 * np.einsum("nip,nip->np", L, L)  # (N, k)
+    div = np.zeros((u.shape[0], bracket.m + 2 * bracket.k))
+    div[:, bracket.m :] = -np.repeat(weight, 2, axis=1) * u
+    return div
 
 
 def polar_to_cartesian(r: np.ndarray, theta: np.ndarray) -> np.ndarray:

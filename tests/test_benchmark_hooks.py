@@ -6,7 +6,11 @@ import os
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 from isophasal import intertwine
+from isophasal.brackets import builtin_bracket
+from isophasal.metric import CutoffProfile
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,6 +29,17 @@ def test_traced_functions_exist(monkeypatch):
         assert callable(fn), f"{name}: {owner.__name__}.{attr} is missing"
     # the span counts laplacian's points from positional argument 3
     assert list(inspect.signature(intertwine.laplacian).parameters)[3] == "pts"
+
+
+def test_laplacian_looks_up_inverse_metric_in_intertwine(monkeypatch):
+    # the metric.inverse_metric_at span is patched on intertwine: laplacian must call it from there
+    spy = mock.Mock(wraps=intertwine.inverse_metric_at)
+    monkeypatch.setattr(intertwine, "inverse_metric_at", spy)
+    bracket = builtin_bracket("cross1")
+    profile = CutoffProfile(1.0, 1.0)
+    f = intertwine.default_test_functions(bracket.m, bracket.k, profile)[1]
+    intertwine.laplacian(bracket, profile, f, np.full((2, bracket.m + 2 * bracket.k), 0.2))
+    assert spy.call_count >= 1
 
 
 def test_workloads_build_at_smoke_sizes(monkeypatch):

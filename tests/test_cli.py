@@ -11,6 +11,7 @@ from isophasal.brackets import Bracket, bracket_to_text, builtin_bracket
 from isophasal.cli import main
 from isophasal.config import _DEFAULTS, ConfigError, _parse_lines, load_config, parse_config
 from isophasal.intertwine import TEST_BASKET
+from conftest import random_bracket
 
 FAST_QUAD = "quadrature.nodes = 2048\nquadrature.replicates = 3\n"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -347,6 +348,16 @@ def test_cli_validate(tmp_path):
     assert all(r["ok"] for r in records)
     (theta,) = [r for r in records if r["check"] == "theta_equivariance"]
     assert theta["value"] <= theta["tol"] <= 1e-12
+
+
+def test_cli_validate_bracket_file_of_other_shape(tmp_path):
+    # every check, the zero-bracket flatness among them, runs at the configured (m, k) = (5, 2)
+    (tmp_path / "b.bracket").write_text(bracket_to_text(random_bracket(5, 2, np.random.default_rng(3))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bracket.file = b.bracket\n")
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    records = read_jsonl(tmp_path / "out" / "validate.jsonl")
+    assert len(records) == 8 and all(r["ok"] for r in records)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

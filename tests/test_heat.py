@@ -153,6 +153,15 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_heat_and_intertwine_import_leaves_coord_unloaded():
+    # the finite-difference oracle is for validation; the run paths read the metric from metric
+    src = str(Path(isophasal.__file__).resolve().parents[1])
+    code = "import isophasal.heat, isophasal.intertwine, sys; print('isophasal.coord' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_zero_bracket_integral(zero_bracket, reference_profile):
     res = integrate_a2(zero_bracket, reference_profile, SMALL)
     assert abs(res.value) < 1e-22
@@ -395,25 +404,16 @@ def test_preflight_passes(cross1, cross2, quaternion, reference_profile):
 
 
 def _break_metric(monkeypatch, defect, when=lambda bracket, profile: True):
-    """Patch coord.make_metric_fn so that metrics selected by `when` lose torus invariance."""
-    from isophasal import coord as coord_mod
+    """Patch heat.metric_at so that metrics selected by `when` lose torus invariance."""
+    orig = heat.metric_at
 
-    orig = coord_mod.make_metric_fn
+    def broken(bracket, profile, x, u):
+        G = orig(bracket, profile, x, u)
+        if when(bracket, profile):
+            defect(G, np.concatenate([x, u], axis=1))
+        return G
 
-    def broken(bracket, profile):
-        base = orig(bracket, profile)
-        if not when(bracket, profile):
-            return base
-
-        def fn(pts):
-            pts = np.atleast_2d(pts)
-            G = base(pts)
-            defect(G, pts)
-            return G
-
-        return fn
-
-    monkeypatch.setattr(coord_mod, "make_metric_fn", broken)
+    monkeypatch.setattr(heat, "metric_at", broken)
 
 
 def _diagonal_defect(G, pts):

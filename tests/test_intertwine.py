@@ -4,7 +4,7 @@ import sympy
 
 from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.coord import FDScheme, first_derivative
-from isophasal.metric import CutoffProfile, polar_to_cartesian
+from isophasal.metric import CutoffProfile, inverse_metric_divergence, polar_to_cartesian
 from isophasal import intertwine as itw
 from conftest import random_bracket
 
@@ -413,7 +413,7 @@ def test_inverse_metric_divergence_matches_fd(cross1, cross2, quaternion, refere
         x, r, theta = small_points(profile, n=8)
         pts = np.concatenate([x, polar_to_cartesian(r, theta)], axis=1)
         for bracket in (cross1, cross2, quaternion, control):
-            div = itw.inverse_metric_divergence(bracket, profile, pts[:, :M], pts[:, M:])
+            div = inverse_metric_divergence(bracket, profile, pts[:, :M], pts[:, M:])
             assert np.all(div[:, :M] == 0.0)
             assert np.max(np.abs(div[:, M:])) > 1e-3
 

@@ -13,7 +13,6 @@ from isophasal.metric import (
     metric_at,
     plane_rotation,
     polar_to_cartesian,
-    psi,
 )
 from oracles import cartesian_to_polar, is_euclidean_outside, vertical_field
 
@@ -31,14 +30,15 @@ def test_psi_outside_support(reference_profile, rng):
     x = rng.normal(size=(10, 6))
     x *= (1.7 / np.linalg.norm(x, axis=1))[:, None]  # |x|^2 > r1sq
     u = rng.normal(size=(10, 6)) * 0.2
-    pd = psi(reference_profile, x, u)
+    pd = reference_profile.value_and_derivs(np.sum(x * x, axis=1), np.sum(u * u, axis=1))
     for field in pd:
         np.testing.assert_array_equal(field, 0.0)
 
 
 def test_psi_zero_profile(rng):
     prof = CutoffProfile(1.0, 1.0, amplitude=0.0)
-    pd = psi(prof, rng.normal(size=(5, 6)) * 0.2, rng.normal(size=(5, 6)) * 0.2)
+    x, u = rng.normal(size=(5, 6)) * 0.2, rng.normal(size=(5, 6)) * 0.2
+    pd = prof.value_and_derivs(np.sum(x * x, axis=1), np.sum(u * u, axis=1))
     for field in pd:
         np.testing.assert_array_equal(field, 0.0)
 
@@ -185,7 +185,7 @@ def test_metric_perturbation_bound(cross1, rng):
         x = rng.uniform(-0.5, 0.5, size=(30, 6))
         u = rng.uniform(-0.5, 0.5, size=(30, 6))
         G = metric_at(cross1, prof, x, u)
-        pv = psi(prof, x, u).value
+        pv = prof.value_and_derivs(np.sum(x * x, axis=1), np.sum(u * u, axis=1)).value
         K = coupling_matrix(cross1, x, u)
         pk = pv * np.linalg.norm(K, axis=(1, 2))
         bound = math.sqrt(2.0) * pk * (1.0 + pk)
