@@ -193,6 +193,16 @@ def _cmd_intertwine(cfg: RunConfig) -> int:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
+    """Oracle self-tests, the engine against the oracle and the Koszul path, and the metric's checks.
+
+    The references are independent of the engine: the closed forms of
+    curvature_scalars build F from its rank form, and the Koszul path of
+    frame_bundle builds it by the product rule from coupling_coeffs, so the
+    two share only the cutoff's value_and_derivs and the bracket tensor.
+    The tests check coupling_coeffs against sympy
+    (test_coupling_derivatives_match_sympy) and the whole engine against the
+    finite-difference oracle.
+    """
     profile = cfg.cutoff()
     b = cfg.bracket()
     rng = np.random.default_rng(cfg.quadrature().seed)

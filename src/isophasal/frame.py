@@ -48,17 +48,55 @@ The |Riem|^2 terms are the frame-type blocks yyyy, yyyt (4 copies), yytt (2),
 ytyt (4) and yttt (4); blocks with three or four that indices vanish.  The
 polar terms cancel, so the zero bracket (F = 0) is exactly flat.
 
-What is materialised on the quadrature path (curvature_scalars, a2_integrand):
-a with its y-gradient and y-Hessian (CouplingCoeffs), then per batch of at
-most _ENGINE_CHUNK points one buffer holding F, dF and the k^2 products
-M_pq, and (N, m+k, m+k)-sized Ricci blocks.  No Christoffel symbol, no dense
-structure constants and no Riem block are built there.
+The rank form.  Write y = (x, r), g and H for phi's y-gradient and
+y-Hessian (g_e = 2 phi_a y_e and H = 4 phi_ab y y^T + 2 diag(phi_a), with a
+the slot, |x|^2 or |r|^2, of y_e), ell_q[i] = <[x, e_i], Z_q> (zero on the r
+indices), Lambda_q for the bracket tensor's slice in the x-x block (zero
+elsewhere) and u ^ v = u v^T - v u^T.  Then D_q = g ell_q^T + phi Lambda_q and
+
+    F^q = r_q (g ^ ell_q + 2 phi Lambda_q),
+    d_c F^q = r_q (H_c ^ ell_q + g ^ lambda_qc + 2 g_c Lambda_q) + delta_{c rho_q} s_q F^q,
+
+with H_c the c-th column of H and lambda_qc the c-th row of Lambda_q: F^q is
+rank two plus a constant.  The Ricci divergence is
+
+    sum_b d_b F^q_b,. = r_q (tr H ell_q - H ell_q - 3 Lambda_q g) + s_q F^q_rho_q,. .
+
+With 2 B^q_c = d_c F^q + s_q (delta_{c rho_q} F^q + F^q_.,c ^ e_rho_q) (the
+B^q above at fixed gamma = c) and the wedge identities
+
+    |u ^ v|^2 = 2 (|u|^2 |v|^2 - (u.v)^2),
+    <u ^ v, w ^ z> = 2 ((u.w)(v.z) - (u.z)(v.w)),
+    <u ^ v, A> = 2 u^T A v for skew A,
+
+and tr(H Lambda_q) = 0 (H symmetric, Lambda_q skew), the sum over c is
+
+    4 |B^q|^2 = r_q^2 (2 |H|^2 |ell_q|^2 - 2 |H ell_q|^2 + 6 |g|^2 |Lambda_q|^2
+                       + 6 |Lambda_q g|^2 + 12 (H g).(Lambda_q ell_q))
+                + 6 s_q^2 (|F^q|^2 + |F^q_rho_q,.|^2)
+                + 12 (H_rho_q . F^q ell_q + g_rho_q <Lambda_q, F^q>),
+
+a handful of matrix-vector products per plane: O(k (m+k)^2) work a point
+besides the k^2 products M_pq, where dF held k (m+k)^3 entries.
+
+What is materialised on the quadrature path (curvature_scalars, a2_integrand),
+per batch of at most _ENGINE_CHUNK points:
+  - phi's y-jet: g (N, m+k) and H (N, m+k, m+k);
+  - ell_q, H ell_q and Lambda_q g, each (N, k, m+k), and Lambda (k, m+k, m+k);
+  - one workspace holding F and its scratch, each (N, k, m+k, m+k), and the
+    k^2 products M_pq (N, k, k, m+k, m+k);
+  - the Ricci blocks, (N, m+k, m+k) and (N, k, m+k), and per-plane scalars.
+No y-Hessian of a, no dF, no Christoffel symbol, no dense structure
+constants and no Riem block are built there.
 
 The Koszul path serves frame_bundle only, for inspection, the tests and
 `isophasal validate`, where it is the independent reference for the closed
-forms: structure_constants fills the dense c and its y-derivatives dc (the
+forms: coupling_coeffs builds a with its y-gradient and y-Hessian
+(CouplingCoeffs) by the product rule, _field_strengths turns them into F and
+dF, structure_constants fills the dense c and its y-derivatives dc (the
 polar terms included), christoffels applies the Koszul formula, and curvature
-assembles the dense Riem by the standard frame formula.  No finite
+assembles the dense Riem by the standard frame formula.  It shares only
+profile.value_and_derivs and the bracket tensor with the engine.  No finite
 differences anywhere in this module.  Index layout on that path: 0..m-1 xhat,
 m..m+k-1 rhat, m+k..m+2k-1 that.  Tensors are stored as c[n, gamma, alpha,
 beta] (gamma-component of [E_alpha, E_beta]), Gamma[n, gamma, alpha, beta]
@@ -138,6 +176,8 @@ def _usable_nodes(profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> np.nd
 def coupling_coeffs(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> CouplingCoeffs:
     """a_ip(y) = phi_s(|x|^2, |r|^2) <[x, e_i], Z_p> with its gradient and Hessian in y = (x, r).
 
+    The front half of the Koszul reference (frame_bundle); the engine reads
+    phi's jet from _jets instead and never builds the Hessian tensor.
     L_ip = <[x, e_i], Z_p> is linear in x and constant in r, so with g and H
     the y-gradient and y-Hessian of phi: grad = g L + phi dL and
     hess = H L + g (x) dL + dL (x) g, where dL vanishes along r.
@@ -291,44 +331,119 @@ def a2_density(n: int, tau: np.ndarray, ric_sq: np.ndarray, riem_sq: np.ndarray)
     return a2_constant(n) * (5.0 * tau * tau - 2.0 * ric_sq + 2.0 * riem_sq)
 
 
-def _bundle_scalars(cc: CouplingCoeffs, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@dataclasses.dataclass(frozen=True)
+class _Jets:
+    """What the rank form of F^q reads at one batch (see the module docstring).
+
+    phi (N,); g (N, m+k) and H (N, m+k, m+k) are phi's y-gradient and
+    y-Hessian; ell (N, k, m+k) is ell_q[i] = <[x, e_i], Z_q>, zero on the r
+    indices; lam (k, m+k, m+k) is Lambda_q in the x-x block; h_ell = H ell_q
+    and lam_g = Lambda_q g, both (N, k, m+k).
+    """
+
+    phi: np.ndarray
+    g: np.ndarray
+    H: np.ndarray
+    ell: np.ndarray
+    lam: np.ndarray
+    h_ell: np.ndarray
+    lam_g: np.ndarray
+
+
+def _jets(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: np.ndarray) -> _Jets:
+    """phi's y-jet and the bracket's linear data at a batch of points."""
+    m, k = bracket.m, bracket.k
+    mk = m + k
+    pd = profile.value_and_derivs(np.sum(x * x, axis=1), np.sum(r * r, axis=1))
+    # phi's partials by the slot (|x|^2 or |r|^2) of each y_e: g = 2 phi_a y_e,
+    # H = 4 phi_ab y_e y_f + 2 phi_a on the diagonal, exactly symmetric as y y^T is
+    slot = np.repeat([0, 1], [m, k])
+    y = np.concatenate([x, r], axis=1)
+    phi_a = np.stack([pd.d1, pd.d2], axis=1)[:, slot]
+    phi_ab = np.stack([pd.d11, pd.d12, pd.d22], axis=1)[:, slot[:, None] + slot]
+    g = 2.0 * (phi_a * y)
+    H = 4.0 * (phi_ab * (y[:, :, None] * y[:, None, :]))
+    diag = np.einsum("nee->ne", H)  # a view
+    diag += 2.0 * phi_a
+    lam = np.zeros((k, mk, mk))
+    lam[:, :m, :m] = bracket.tensor
+    ell = np.zeros((x.shape[0], k, mk))
+    ell[..., :m] = np.einsum("nj,qji->nqi", x, bracket.tensor)
+    return _Jets(phi=pd.value, g=g, H=H, ell=ell, lam=lam,
+                 h_ell=np.matmul(ell, H), lam_g=np.einsum("qab,nb->nqa", lam, g))
+
+
+def _rank_form_fields(jets: _Jets, r: np.ndarray, F: np.ndarray, work: np.ndarray) -> None:
+    """Write F^q = r_q (g ^ ell_q + 2 phi Lambda_q) into F; work is scratch of F's shape.
+
+    Built as r_q (D_q - D_q^T) with D_q = g ell_q^T + phi Lambda_q, the
+    y-gradient of a_.q, so F rounds as _field_strengths does.
+    """
+    np.multiply(jets.g[:, None, :, None], jets.ell[:, :, None, :], out=work)
+    np.multiply(jets.phi[:, None, None, None], jets.lam, out=F)
+    work += F
+    np.subtract(work, work.transpose(0, 1, 3, 2), out=F)
+    F *= r[:, :, None, None]
+
+
+def _ricci_divergence(jets: _Jets, F: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_b d_b F^q[b, .] = r_q (tr H ell_q - H ell_q - 3 Lambda_q g) + s_q F^q[rho_q, .], shape (N, k, m+k)."""
+    k = r.shape[1]
+    m = F.shape[-1] - k
+    div = np.einsum("naa->n", jets.H)[:, None, None] * jets.ell
+    div -= jets.h_ell
+    div -= 3.0 * jets.lam_g
+    div *= r[:, :, None]
+    div += np.einsum("nqqa->nqa", F[:, :, m:]) / r[:, :, None]
+    return div
+
+
+def _batch_scalars(jets: _Jets, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tau, |Ric|^2, |Riem|^2) at one batch by the closed forms of the module docstring."""
     npts, k = r.shape
-    m = cc.a.shape[1]
-    mk = m + k
-    # F, dF and the products M in one buffer: as separate arrays they fault their pages in afresh
-    # on every batch under glibc's dynamic mmap threshold, in a process without the pool's
+    mk = jets.g.shape[1]
+    m = mk - k
+    # F, its scratch and the products M in one workspace: as separate arrays they fault their pages
+    # in afresh on every batch under glibc's dynamic mmap threshold, in a process without the pool's
     # allocator policy
-    size_F, size_dF = npts * k * mk * mk, npts * k * mk**3
-    buf = np.empty(size_F * (1 + k) + size_dF)
-    F = buf[:size_F].reshape(npts, k, mk, mk)
-    dF = buf[size_F:size_F + size_dF].reshape(npts, k, mk, mk, mk)
-    M = buf[size_F + size_dF:].reshape(npts, k, k, mk, mk)
-    _field_strengths(cc, r, F, dF)
+    size = npts * k * mk * mk
+    buf = np.empty(size * (2 + k))
+    F = buf[:size].reshape(npts, k, mk, mk)
+    M = buf[2 * size:].reshape(npts, k, k, mk, mk)
+    _rank_form_fields(jets, r, F, buf[size:2 * size].reshape(npts, k, mk, mk))
     s = 1.0 / r
     np.matmul(F[:, :, None], F[:, None], out=M)  # M[n,p,q] = F^p F^q
     P = -np.einsum("npqaa->npq", M)
     P2 = np.einsum("npq,npq->n", P, P)
-    tau = -0.25 * np.einsum("nqq->n", P)
+    F_sq = np.einsum("nqq->nq", P)  # |F^q|^2
+    tau = -0.25 * np.sum(F_sq, axis=1)
 
     F_rho = F[:, :, m:]  # F_rho[n,q,p,a] = F^q[rho_p, a]
     ric_yy = 0.5 * np.einsum("nqqab->nab", M)
-    ric_yt = 0.5 * (np.einsum("nqbab->nqa", dF) + s[:, :, None] * np.einsum("nqqa->nqa", F_rho)
+    ric_yt = 0.5 * (_ricci_divergence(jets, F, r) + s[:, :, None] * np.einsum("nqqa->nqa", F_rho)
                     + np.einsum("np,nqpa->nqa", s, F_rho))
     ric2 = np.einsum("nab,nab->n", ric_yy, ric_yy) + 2.0 * np.einsum("nqa,nqa->n", ric_yt, ric_yt) + P2 / 16.0
 
-    # dF becomes 2 B^q in place, after its divergence went into ric_yt
-    for q in range(k):
-        sF = s[:, q, None, None] * F[:, q]
-        dF[:, q, :, :, m + q] += sF
-        dF[:, q, m + q] -= sF
-        dF[:, q, :, m + q] += sF
-    two_B = dF.reshape(npts, -1)  # 4 |B^q|^2 = |2 B^q|^2
     rho_sq = np.einsum("npqa,npqa->npq", F_rho, F_rho)  # |F^p[rho_q, .]|^2
+    own_rho_sq = np.einsum("nqq->nq", rho_sq).copy()
     rho_sq[:, range(k), range(k)] = 0.0
+    # 4 |B^q|^2 = sum_c |2 B^q_c|^2 from the wedge identities (module docstring)
+    g, H = jets.g, jets.H
+    H_sq = np.einsum("nab,nab->n", H, H)
+    g_sq = np.einsum("na,na->n", g, g)
+    lam_sq = np.einsum("qab,qab->q", jets.lam, jets.lam)
+    # sum_c |H_c ^ ell_q + g ^ lambda_qc + 2 g_c Lambda_q|^2, the part of d_c F^q / r_q free of s_q
+    deriv_sq = (2.0 * H_sq[:, None] * np.einsum("nqa,nqa->nq", jets.ell, jets.ell)
+                - 2.0 * np.einsum("nqa,nqa->nq", jets.h_ell, jets.h_ell)
+                + 6.0 * g_sq[:, None] * lam_sq
+                + 6.0 * np.einsum("nqa,nqa->nq", jets.lam_g, jets.lam_g)
+                + 12.0 * np.einsum("na,qab,nqb->nq", np.einsum("nab,nb->na", H, g), jets.lam, jets.ell))
+    cross = (np.einsum("nqa,nqab,nqb->nq", H[:, m:], F, jets.ell)
+             + g[:, m:] * np.einsum("qab,nqab->nq", jets.lam, F))
+    two_b_sq = r * r * deriv_sq + 6.0 * (s * s) * (F_sq + own_rho_sq) + 12.0 * cross
     # M_qp = M_pq^T, so sum_pq <M_pq, M_qp> = T and 3/8 T - 1/4 T = T/8
     T = np.einsum("npqab,npqba->n", M, M)
-    riem2 = (0.375 * P2 + 0.125 * T + np.einsum("ni,ni->n", two_B, two_B)
+    riem2 = (0.375 * P2 + 0.125 * T + np.sum(two_b_sq, axis=1)
              + 0.5 * np.einsum("npqab,npqab->n", M, M) + 2.0 * np.einsum("nq,npq->n", s * s, rho_sq))
     return tau, ric2, riem2
 
@@ -349,8 +464,8 @@ def curvature_scalars(
     riem2 = np.empty(npts)
     for lo in range(0, npts, _ENGINE_CHUNK):
         hi = min(lo + _ENGINE_CHUNK, npts)
-        cc = coupling_coeffs(bracket, profile, x[lo:hi], r[lo:hi])
-        tau[lo:hi], ric2[lo:hi], riem2[lo:hi] = _bundle_scalars(cc, r[lo:hi])
+        jets = _jets(bracket, profile, x[lo:hi], r[lo:hi])
+        tau[lo:hi], ric2[lo:hi], riem2[lo:hi] = _batch_scalars(jets, r[lo:hi])
     return tau, ric2, riem2
 
 

@@ -283,10 +283,50 @@ def test_zero_bracket_pair_form_flat(zero_bracket, reference_profile, scale, mon
         assert scalar.tolist() == [0.0] * len(x)
 
 
+def test_quadrature_path_skips_the_koszul_front_half(cross1, reference_profile, monkeypatch, rng):
+    # the engine reads F from its rank form: neither the y-Hessian tensor nor the dF buffer is built
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in ("coupling_coeffs", "_field_strengths"):
+        monkeypatch.setattr(frame, name, spy(name, getattr(frame, name)))
+    x, r = interior_points(rng)
+    frame.curvature_scalars(cross1, reference_profile, x, r)
+    assert np.any(frame.a2_integrand(cross1, reference_profile, x, r) != 0.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 16.0])
+@pytest.mark.parametrize("m,k", [(5, 2), (6, 3), (7, 3)])
+def test_rank_form_matches_field_strengths(m, k, scale, reference_profile):
+    # F and the Ricci divergence term by term against the product-rule build from coupling_coeffs:
+    # a sign slip the three scalars could hide shows here
+    rng = np.random.default_rng(10 * m + k)
+    bracket = random_bracket(m, k, rng)
+    profile = reference_profile.scaled(scale)
+    x, r = interior_points(rng, 20, m, k)
+    r = r / scale
+    F_ref = np.empty((20, k, m + k, m + k))
+    dF_ref = np.empty((20, k, m + k, m + k, m + k))
+    frame._field_strengths(frame.coupling_coeffs(bracket, profile, x, r), r, F_ref, dF_ref)
+    jets = frame._jets(bracket, profile, x, r)
+    F = np.empty_like(F_ref)
+    frame._rank_form_fields(jets, r, F, np.empty_like(F))
+    div = frame._ricci_divergence(jets, F, r)
+    for got, want in ((F, F_ref), (div, np.einsum("nqbab->nqa", dF_ref))):
+        assert np.max(np.abs(want)) > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap and trim thresholds")
 def test_curvature_scalars_reuses_its_pages_in_process():
-    # outside the pool's allocator policy, separate arrays for F, dF and M fault their pages in
-    # afresh on every call (about 800 minor faults at 86 points); one buffer per batch does not
+    # outside the pool's allocator policy, separate arrays for F, its scratch and M fault their
+    # pages in afresh on every call; one workspace per batch does not
     code = textwrap.dedent("""
         import resource
         import numpy as np
