@@ -83,8 +83,9 @@ What is materialised on the quadrature path (curvature_scalars, a2_integrand),
 per batch of at most _ENGINE_CHUNK points:
   - phi's y-jet: g (N, m+k) and H (N, m+k, m+k);
   - ell_q, H ell_q and Lambda_q g, each (N, k, m+k), and Lambda (k, m+k, m+k);
-  - one workspace holding F and its scratch, each (N, k, m+k, m+k), and the
-    k^2 products M_pq (N, k, k, m+k, m+k);
+  - one workspace holding F and its scratch, each (N, k, m+k, m+k), the
+    k^2 products M_pq (N, k, k, m+k, m+k) and a contiguous copy of their
+    transposes;
   - the Ricci blocks, (N, m+k, m+k) and (N, k, m+k), and per-plane scalars.
 No y-Hessian of a, no dF, no Christoffel symbol, no dense structure
 constants and no Riem block are built there.
@@ -200,7 +201,9 @@ def coupling_coeffs(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, r: 
     phi_ab = np.stack([pd.d11, pd.d12, pd.d22], axis=1)[:, slot[:, None] + slot]
     g = 2.0 * (phi_a * y)
     hyy = (phi_ab * y[:, :, None]) * y[:, None, :]
-    # mirrored, so hess is exactly symmetric: (phi_12 r_q) x_j can round differently from (phi_12 x_j) r_q
+    # the r-x block mirrors the x-r block, so hess's mixed blocks are exact transposes where
+    # (phi_12 r_q) x_j and (phi_12 x_j) r_q would round apart; the x-x and r-r blocks are not
+    # mirrored, and the adds below reach x-x in either order, so there hess is symmetric to an ulp
     hyy[:, m:, :m] = hyy[:, :m, m:].transpose(0, 2, 1)
 
     Ly = L[..., None]
@@ -403,13 +406,14 @@ def _batch_scalars(jets: _Jets, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     npts, k = r.shape
     mk = jets.g.shape[1]
     m = mk - k
-    # F, its scratch and the products M in one workspace: as separate arrays they fault their pages
-    # in afresh on every batch under glibc's dynamic mmap threshold, in a process without the pool's
-    # allocator policy
+    # F, its scratch, the products M and their transposes in one workspace: as separate arrays they
+    # fault their pages in afresh on every batch under glibc's dynamic mmap threshold, in a process
+    # without the pool's allocator policy
     size = npts * k * mk * mk
-    buf = np.empty(size * (2 + k))
+    buf = np.empty(size * (2 + 2 * k))
     F = buf[:size].reshape(npts, k, mk, mk)
-    M = buf[2 * size:].reshape(npts, k, k, mk, mk)
+    M = buf[2 * size:(2 + k) * size].reshape(npts, k, k, mk, mk)
+    M_t = buf[(2 + k) * size:].reshape(npts, k, k, mk, mk)
     _rank_form_fields(jets, r, F, buf[size:2 * size].reshape(npts, k, mk, mk))
     s = 1.0 / r
     np.matmul(F[:, :, None], F[:, None], out=M)  # M[n,p,q] = F^p F^q
@@ -441,8 +445,11 @@ def _batch_scalars(jets: _Jets, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     cross = (np.einsum("nqa,nqab,nqb->nq", H[:, m:], F, jets.ell)
              + g[:, m:] * np.einsum("qab,nqab->nq", jets.lam, F))
     two_b_sq = r * r * deriv_sq + 6.0 * (s * s) * (F_sq + own_rho_sq) + 12.0 * cross
-    # M_qp = M_pq^T, so sum_pq <M_pq, M_qp> = T and 3/8 T - 1/4 T = T/8
-    T = np.einsum("npqab,npqba->n", M, M)
+    # M_qp = M_pq^T, so sum_pq <M_pq, M_qp> = T and 3/8 T - 1/4 T = T/8.  Read through a transposed
+    # view, einsum sums a 1-point batch in another order than a larger one; the contiguous copy keeps
+    # each point's sum independent of its batch
+    np.copyto(M_t, M.transpose(0, 1, 2, 4, 3))
+    T = np.einsum("npqab,npqab->n", M, M_t)
     riem2 = (0.375 * P2 + 0.125 * T + np.sum(two_b_sq, axis=1)
              + 0.5 * np.einsum("npqab,npqab->n", M, M) + 2.0 * np.einsum("nq,npq->n", s * s, rho_sq))
     return tau, ric2, riem2

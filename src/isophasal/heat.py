@@ -41,12 +41,19 @@ benchmark sweep on 2 vCPUs; the executor's manager thread blocks until a
 worker answers.
 
 Pool workers run under a fixed glibc allocator policy: an mmap threshold of
-32 MiB and a trim threshold of 256 MiB, both static.  Under glibc's default
-dynamic thresholds each engine batch hands its working set back to the OS
-and faults it in again, which cost the sweep about a quarter of its CPU time
-in system time.  The policy is set only in the worker processes this module
-forks and joins; the caller's process, and batches it evaluates itself, keep
-the default.  The arithmetic is the same either way.
+32 MiB and a trim threshold of 256 MiB, both static.  It came in when each
+engine batch, under glibc's default dynamic thresholds, handed its working
+set back to the OS and faulted it in again, about a quarter of the sweep's
+CPU time in system time.  Measured again with today's engine, which holds a
+batch in one workspace, it makes no difference: over 10 alternating in-process
+benchmark sweeps (2 workers on 2 vCPUs) with the policy on and off, the
+workers spent about 0.03 s in system time and took 4.0k against 4.8k minor
+faults, and the median wall time was 0.95 s against 0.89 s, the policy side
+faster in 4 of the 10 pairs.  The policy is kept until a change removes it
+on its own.  It is set only in the
+worker processes this module forks and joins; the caller's process, and
+batches it evaluates itself, keep the default.  The arithmetic is the same
+either way.
 
 The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over SWEEP_DEGREES,
 on finite positive scales (at least five distinct, spanning at least 4x); the

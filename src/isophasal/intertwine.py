@@ -20,15 +20,16 @@ which mode preservation keeps at rounding level, is measured once per pair,
 on the widest-band test function.  A non-isospectral pair must fail this
 check loudly; that negative control is part of the contract.
 
-Each test function is a product of four factors (a bump and a monomial in x,
-a bump and a monomial in the complex plane coordinates of u), and its value,
-gradient and Hessian come from one product rule applied to the factors'
-closed forms.  The Laplacian is exact up to rounding: the family is
-unimodular, so Delta f = -d_mu(G^{mu nu} d_nu f), and metric supplies both the
-inverse metric and its divergence d_mu G^{mu nu} in closed form; no derivative
-is taken numerically.  Angular modes come from one np.fft.fftn over the angle
-axes of the values on a torus grid, and the transport evaluates every fiber it
-needs in a fixed handful of batched Laplacian calls.
+Each test function is a product f_x(x) f_u(u) (amplitude, bump and monomial
+in x; bump and monomial in the complex plane coordinates of u), and
+factor_jets gives each factor's value, gradient and Hessian in closed form.
+The Laplacian is exact up to rounding: the family is unimodular, so
+Delta f = -d_mu(G^{mu nu} d_nu f), metric supplies the inverse metric and its
+divergence d_mu G^{mu nu} in closed form, and laplacian contracts them block
+by block against the two factor jets, never forming f's full Hessian; no
+derivative is taken numerically.  Angular modes come from one np.fft.fftn
+over the angle axes of the values on a torus grid, and the transport
+evaluates every fiber it needs in a fixed handful of batched Laplacian calls.
 """
 
 from __future__ import annotations
@@ -99,29 +100,15 @@ def _envelope(y: np.ndarray, rsq: float | None):
     return b, grad, hess
 
 
-def _product(f, g, separate: bool = False):
-    """Product rule on (value, gradient, Hessian) triples.
-
-    f and g are functions of the same coordinates or, with separate=True, of
-    two disjoint blocks: f of the leading coordinates and g of the rest.
-    """
+def _product(f, g):
+    """Product rule on (value, gradient, Hessian) triples of two functions of the same coordinates."""
     fv, fg, fh = f
     gv, gg, gh = g
     outer = fg[:, :, None] * gg[:, None, :]
-    if separate:
-        a = fg.shape[1]
-        grad = np.concatenate([fg * gv[:, None], fv[:, None] * gg], axis=1)
-        hess = np.empty(grad.shape + grad.shape[1:], dtype=grad.dtype)
-        hess[:, :a, :a] = fh * gv[:, None, None]
-        hess[:, a:, a:] = fv[:, None, None] * gh
-        hess[:, :a, a:] = outer
-        hess[:, a:, :a] = outer.transpose(0, 2, 1)
-    else:
-        grad = fg * gv[:, None] + fv[:, None] * gg
-        hess = fh * gv[:, None, None] + fv[:, None, None] * gh
-        hess += outer
-        hess += outer.transpose(0, 2, 1)
-    return fv * gv, grad, hess
+    hess = fh * gv[:, None, None] + fv[:, None, None] * gh
+    hess += outer
+    hess += outer.transpose(0, 2, 1)
+    return fv * gv, fg * gv[:, None] + fv[:, None] * gg, hess
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +138,8 @@ class TestFunction:
     def band_limit(self) -> int:
         return max((abs(z) for z in self.freq), default=0)
 
-    def value_grad_hess(self, pts: np.ndarray):
+    def factor_jets(self, pts: np.ndarray):
+        """(value, gradient, Hessian) of the x factor (amplitude included) over x and of the u factor over u."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m, k = self.m, self.k
         x, u = pts[:, :m], pts[:, m:]
@@ -164,11 +152,11 @@ class TestFunction:
         J[np.arange(k), 2 * np.arange(k) + 1] = np.where(np.asarray(self.freq) >= 0, 1j, -1j)
         wv, wg, wh = _monomial(u @ J.T, [abs(z) for z in self.freq])
         fu = _product(_envelope(u, self.u_bump_rsq), (wv, wg @ J, J.T @ wh @ J))
-        fx = tuple(self.amplitude * a for a in fx)
-        return _product(fx, fu, separate=True)
+        return tuple(self.amplitude * a for a in fx), fu
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_grad_hess(pts)[0]
+        (xv, _, _), (uv, _, _) = self.factor_jets(pts)
+        return xv * uv
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,15 +166,16 @@ class RotatedFunction:
     base: TestFunction
     A: np.ndarray
 
-    def value_grad_hess(self, pts: np.ndarray):
+    def factor_jets(self, pts: np.ndarray):
+        """The base's factor jets at (A x, u), the x factor's pulled back through A."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        R = np.eye(pts.shape[1])  # diag(A, I)
-        R[: self.base.m, : self.base.m] = self.A
-        val, grad, hess = self.base.value_grad_hess(pts @ R.T)
-        return val, grad @ R, R.T @ hess @ R
+        m = self.base.m
+        (v, g, h), fu = self.base.factor_jets(np.concatenate([pts[:, :m] @ self.A.T, pts[:, m:]], axis=1))
+        return (v, g @ self.A, self.A.T @ h @ self.A), fu
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_grad_hess(pts)[0]
+        (xv, _, _), (uv, _, _) = self.factor_jets(pts)
+        return xv * uv
 
 
 def mode_vectors(N: int, k: int) -> list[tuple[int, ...]]:
@@ -291,12 +280,13 @@ def laplacian(
     f,
     pts: np.ndarray,
 ) -> np.ndarray:
-    """Positive Laplacian -d_mu(G^{mu nu} d_nu f) at Cartesian points.
+    """Positive Laplacian -d_mu(G^{mu nu} d_nu f) of a product f = f_x(x) f_u(u) at Cartesian points.
 
     The determinant of G is one, so no volume factor appears.  G^{-1} and its
-    divergence are metric's closed forms, inverse_metric_at and
-    inverse_metric_divergence; the gradient and Hessian of f come from
-    f.value_grad_hess.
+    divergence div are metric's closed forms (inverse_metric_at and
+    inverse_metric_divergence), contracted block by block against the jets
+    (f_., g_., h_.) of f.factor_jets:
+    -[f_u (<G^xx, h_x> + div_x.g_x) + 2 g_x^T G^xu g_u + f_x (<G^uu, h_u> + div_u.g_u)].
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m = bracket.m
@@ -306,9 +296,11 @@ def laplacian(
         x, u = p[:, :m], p[:, m:]
         Gi = inverse_metric_at(bracket, profile, x, u)
         div_Gi = inverse_metric_divergence(bracket, profile, x, u)
-        _val, grad, hess = f.value_grad_hess(p)
+        (xv, xg, xh), (uv, ug, uh) = f.factor_jets(p)
         out[lo : lo + p.shape[0]] = -(
-            np.einsum("nab,nab->n", Gi, hess) + np.einsum("nv,nv->n", div_Gi, grad)
+            uv * (np.einsum("nab,nab->n", Gi[:, :m, :m], xh) + np.einsum("na,na->n", div_Gi[:, :m], xg))
+            + 2.0 * np.einsum("na,nab,nb->n", xg, Gi[:, :m, m:], ug)
+            + xv * (np.einsum("nab,nab->n", Gi[:, m:, m:], uh) + np.einsum("na,na->n", div_Gi[:, m:], ug))
         )
     return out
 

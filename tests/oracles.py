@@ -1,7 +1,8 @@
-"""Test-only oracles: scaling-degree probes of frame quantities and metric helpers.
+"""Test-only oracles: scaling-degree probes of frame quantities, metric helpers
+and the full jets of product test functions.
 
-No program calls these; the frame and metric tests and acceptance criterion 5
-do.
+No program calls these; the frame, metric and intertwine tests and acceptance
+criterion 5 do.
 """
 
 import math
@@ -142,3 +143,20 @@ def cartesian_to_polar(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = u[..., 0::2]
     b = u[..., 1::2]
     return np.hypot(a, b), np.arctan2(b, a)
+
+
+def assembled_jets(fn, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, gradient (N, n) and Hessian (N, n, n) of a product f = f_x(x) f_u(u) over all n coordinates.
+
+    Assembled from fn.factor_jets(pts) by the product rule on the two disjoint
+    coordinate blocks: the off-diagonal blocks are g_x (x) g_u and its transpose.
+    """
+    (xv, xg, xh), (uv, ug, uh) = fn.factor_jets(pts)
+    m = xg.shape[1]
+    grad = np.concatenate([xg * uv[:, None], xv[:, None] * ug], axis=1)
+    hess = np.empty(grad.shape + grad.shape[1:], dtype=grad.dtype)
+    hess[:, :m, :m] = xh * uv[:, None, None]
+    hess[:, m:, m:] = xv[:, None, None] * uh
+    hess[:, :m, m:] = xg[:, :, None] * ug[:, None, :]
+    hess[:, m:, :m] = hess[:, :m, m:].transpose(0, 2, 1)
+    return xv * uv, grad, hess

@@ -323,6 +323,35 @@ def test_rank_form_matches_field_strengths(m, k, scale, reference_profile):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _scalars_in_calls(bracket, profile, x, r, sizes):
+    """curvature_scalars over consecutive calls of the given sizes, concatenated: (3, N)."""
+    edges = np.cumsum((0,) + tuple(sizes))
+    calls = [frame.curvature_scalars(bracket, profile, x[lo:hi], r[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.concatenate([np.stack(c) for c in calls], axis=1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 16.0])
+@pytest.mark.parametrize("name", ["quaternion", "random-5-2", "random-6-3", "random-7-3"])
+def test_engine_values_independent_of_batching(name, scale, reference_profile):
+    # how points are grouped into engine calls and batches must not move a bit:
+    # 1-point calls, uneven splits around _ENGINE_CHUNK and a permuted batch
+    # against one call, so any regrouping of the quadrature's work is free
+    bracket = PAIR_FORM_BRACKETS[name]()
+    profile = reference_profile.scaled(scale)
+    chunk = frame._ENGINE_CHUNK
+    splits = (1, chunk - 1, chunk, chunk + 1)
+    n = sum(splits)
+    rng = np.random.default_rng(3)
+    x, r = interior_points(rng, n, bracket.m, bracket.k)
+    r = r / scale
+    whole = _scalars_in_calls(bracket, profile, x, r, [n])
+    assert np.all(np.any(whole != 0.0, axis=1))
+    np.testing.assert_array_equal(_scalars_in_calls(bracket, profile, x, r, [1] * n), whole)
+    np.testing.assert_array_equal(_scalars_in_calls(bracket, profile, x, r, splits), whole)
+    perm = rng.permutation(n)
+    np.testing.assert_array_equal(_scalars_in_calls(bracket, profile, x[perm], r[perm], [n]), whole[:, perm])
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap and trim thresholds")
 def test_curvature_scalars_reuses_its_pages_in_process():
     # outside the pool's allocator policy, separate arrays for F, its scratch and M fault their

@@ -4,9 +4,10 @@ import sympy
 
 from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.coord import FDScheme, first_derivative
-from isophasal.metric import CutoffProfile, inverse_metric_divergence, polar_to_cartesian
+from isophasal.metric import CutoffProfile, inverse_metric_at, inverse_metric_divergence, polar_to_cartesian
 from isophasal import intertwine as itw
-from conftest import random_bracket
+from conftest import random_bracket, random_orthogonal
+from oracles import assembled_jets
 
 M, K = 6, 3
 TF = itw.TestFunction(m=M, freq=(1, -2, 0), powers=(1, 0, 2), x_bump_rsq=1.2, u_bump_rsq=1.1)
@@ -20,11 +21,11 @@ def sample_points(rng, n=6, lo=-0.4, hi=0.4):
 
 def test_testfunction_derivatives_match_fd(rng):
     pts = sample_points(rng)
-    val, grad, hess = TF.value_grad_hess(pts)
+    val, grad, hess = assembled_jets(TF, pts)
     scheme = FDScheme(h=1e-4, richardson=False)
     gfd = first_derivative(lambda q: TF(q), pts, scheme)
     np.testing.assert_allclose(grad, gfd, atol=1e-10)
-    hfd = first_derivative(lambda q: TF.value_grad_hess(q)[1], pts, scheme)
+    hfd = first_derivative(lambda q: assembled_jets(TF, q)[1], pts, scheme)
     np.testing.assert_allclose(hess, hfd.transpose(0, 2, 1), atol=1e-9)
 
 
@@ -64,7 +65,7 @@ def test_testfunction_derivatives_match_sympy(fn):
         [0.31, -0.22, 0.17, 0.08, -0.12, 0.27, 0.0, 0.0, 0.24, 0.18, -0.29, 0.36],  # u plane 0 at its origin
         [0.31, 0.0, 0.17, 0.08, -0.12, 0.0, 0.33, -0.41, 0.24, 0.18, 0.0, 0.0],  # u plane 2 at its origin
     ])
-    val, grad_a, hess_a = fn.value_grad_hess(pts)
+    val, grad_a, hess_a = assembled_jets(fn, pts)
     for i, pt in enumerate(pts):
         v_o, g_o, h_o = oracle(*pt)
         for got, want in ((val[i], v_o), (grad_a[i], g_o), (hess_a[i], h_o)):
@@ -290,31 +291,41 @@ def test_q_unitary_on_fibers(cross1, quaternion, rng):
 
 # --- Laplacian --------------------------------------------------------------------
 
-class FDDerivatives:
-    """Evaluator whose gradient and Hessian are finite differences of fn's values."""
+def fd_jet(fn, pts, scheme):
+    """fn's values with their finite-difference gradient and (symmetrised) Hessian."""
+    fn_ = lambda q: np.asarray(fn(q))
+    grad = first_derivative(fn_, pts, scheme)
+    hess = first_derivative(lambda q: first_derivative(fn_, q, scheme), pts, scheme)
+    return fn_(pts), grad, 0.5 * (hess + hess.transpose(0, 2, 1))
 
-    def __init__(self, fn, scheme):
-        self.fn = fn
+
+class FDFactors:
+    """Product evaluator whose factor jets are finite differences of each factor's values.
+
+    fx maps x (N, M) and fu maps u (N, 2K) to the values of the two factors.
+    """
+
+    def __init__(self, fx, fu, scheme):
+        self.fx = fx
+        self.fu = fu
         self.scheme = scheme
 
-    def value_grad_hess(self, pts):
-        fn = lambda q: np.asarray(self.fn(q))
-        grad = first_derivative(fn, pts, self.scheme)
-        hess = first_derivative(lambda q: first_derivative(fn, q, self.scheme), pts, self.scheme)
-        return fn(pts), grad, 0.5 * (hess + hess.transpose(0, 2, 1))
+    def factor_jets(self, pts):
+        pts = np.atleast_2d(pts)
+        return fd_jet(self.fx, pts[:, :M], self.scheme), fd_jet(self.fu, pts[:, M:], self.scheme)
+
+
+def gaussian_jet(y):
+    v = np.exp(-0.5 * np.sum(y * y, axis=1))
+    return v, -y * v[:, None], (y[:, :, None] * y[:, None, :] - np.eye(y.shape[1])) * v[:, None, None]
 
 
 class Gaussian:
-    def value_grad_hess(self, pts):
-        pts = np.atleast_2d(pts)
-        n = pts.shape[1]
-        v = np.exp(-0.5 * np.sum(pts * pts, axis=1)).astype(complex)
-        g = -pts * v[:, None]
-        h = (pts[:, :, None] * pts[:, None, :] - np.eye(n)) * v[:, None, None]
-        return v, g, h
+    """e^(-|x|^2/2) e^(-|u|^2/2), both factor jets in closed form."""
 
-    def __call__(self, pts):
-        return self.value_grad_hess(np.atleast_2d(pts))[0]
+    def factor_jets(self, pts):
+        pts = np.atleast_2d(pts)
+        return gaussian_jet(pts[:, :M]), gaussian_jet(pts[:, M:])
 
 
 def test_laplacian_euclidean_gaussian(zero_bracket, reference_profile, rng):
@@ -327,21 +338,22 @@ def test_laplacian_euclidean_gaussian(zero_bracket, reference_profile, rng):
 
 def test_laplacian_flat_polar_phase(cross1, reference_profile, rng):
     # in the flat region, Delta e^{i Z.theta} = (sum_p Z_p^2 / r_p^2) e^{i Z.theta};
-    # checked with finite-difference derivatives of the values only
+    # checked with finite-difference derivatives of the values only, the x
+    # factor being the constant one
     Z = np.array([2.0, -1.0, 1.0])
     r0 = rng.uniform(0.8, 1.2, size=K)
     th0 = rng.uniform(0, 2 * np.pi, size=K)
     x0 = np.full(M, 0.8)  # |x| = 1.96: outside the metric support
 
-    def phase(q):
-        q = np.atleast_2d(q)
-        u = q[:, M:]
+    def phase(u):
+        u = np.atleast_2d(u)
         th = np.arctan2(u[:, 1::2], u[:, 0::2])
         return np.exp(1j * th @ Z)
 
     pt = np.concatenate([x0, polar_to_cartesian(r0[None], th0[None])[0]])[None]
-    lap = itw.laplacian(cross1, reference_profile, FDDerivatives(phase, FDScheme(h=1e-4, richardson=True)), pt)
-    want = np.sum(Z**2 / r0**2) * phase(pt)
+    fn = FDFactors(lambda x: np.ones(len(x)), phase, FDScheme(h=1e-4, richardson=True))
+    lap = itw.laplacian(cross1, reference_profile, fn, pt)
+    want = np.sum(Z**2 / r0**2) * phase(pt[:, M:])
     np.testing.assert_allclose(lap, want, rtol=1e-5)
 
 
@@ -349,8 +361,34 @@ def test_laplacian_fd_vs_analytic(cross1, reference_profile, rng):
     pts = sample_points(rng, n=3)
     a = itw.laplacian(cross1, reference_profile, TF, pts)
     scheme = FDScheme(h=1e-3 * max(reference_profile.x_radius, reference_profile.u_radius), richardson=False)
-    f = itw.laplacian(cross1, reference_profile, FDDerivatives(TF, scheme), pts)
+    # each factor's values, read off TF at a point whose other block is zero
+    fx = lambda x: TF.factor_jets(np.concatenate([x, np.zeros((len(x), 2 * K))], axis=1))[0][0]
+    fu = lambda u: TF.factor_jets(np.concatenate([np.zeros((len(u), M)), u], axis=1))[1][0]
+    f = itw.laplacian(cross1, reference_profile, FDFactors(fx, fu, scheme), pts)
     np.testing.assert_allclose(a, f, atol=1e-6)
+
+
+@pytest.mark.parametrize("s", [1.0, 16.0])
+@pytest.mark.parametrize("m, k", [(5, 2), (6, 3), (7, 3)])
+def test_laplacian_blocks_match_dense_contraction(m, k, s, reference_profile, rng):
+    # laplacian's block contraction of the factor jets against the dense
+    # -(<G^-1, H> + div . grad f) of the assembled jets, for test functions
+    # and their rotations
+    bracket = random_bracket(m, k, rng)
+    profile = reference_profile.scaled(s)
+    x, r, theta = itw.default_points(m, k, profile, n_points=16, seed=3)
+    pts = np.concatenate([x, polar_to_cartesian(r, theta)], axis=1)
+    Gi = inverse_metric_at(bracket, profile, x, pts[:, m:])
+    div = inverse_metric_divergence(bracket, profile, x, pts[:, m:])
+    fns = itw.default_test_functions(m, k, profile)
+    A = random_orthogonal(m, rng)
+    for fn in fns + [itw.RotatedFunction(base=f, A=A) for f in fns]:
+        _val, grad, hess = assembled_jets(fn, pts)
+        dense = -(np.einsum("nab,nab->n", Gi, hess) + np.einsum("na,na->n", div, grad))
+        lap = itw.laplacian(bracket, profile, fn, pts)
+        scale = np.max(np.abs(lap))
+        assert scale > 0.0
+        assert np.max(np.abs(lap - dense)) <= 1e-13 * scale
 
 
 # --- intertwining -------------------------------------------------------------------
