@@ -407,8 +407,8 @@ def _batch_scalars(jets: _Jets, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     mk = jets.g.shape[1]
     m = mk - k
     # F, its scratch, the products M and their transposes in one workspace: as separate arrays they
-    # fault their pages in afresh on every batch under glibc's dynamic mmap threshold, in a process
-    # without the pool's allocator policy
+    # fault their pages in afresh on every batch under glibc's dynamic mmap threshold, in the pool's
+    # workers and the calling process alike
     size = npts * k * mk * mk
     buf = np.empty(size * (2 + 2 * k))
     F = buf[:size].reshape(npts, k, mk, mk)

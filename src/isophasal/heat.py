@@ -40,21 +40,6 @@ sits unread, which cost about 0.4 s of the calling process's CPU per
 benchmark sweep on 2 vCPUs; the executor's manager thread blocks until a
 worker answers.
 
-Pool workers run under a fixed glibc allocator policy: an mmap threshold of
-32 MiB and a trim threshold of 256 MiB, both static.  It came in when each
-engine batch, under glibc's default dynamic thresholds, handed its working
-set back to the OS and faulted it in again, about a quarter of the sweep's
-CPU time in system time.  Measured again with today's engine, which holds a
-batch in one workspace, it makes no difference: over 10 alternating in-process
-benchmark sweeps (2 workers on 2 vCPUs) with the policy on and off, the
-workers spent about 0.03 s in system time and took 4.0k against 4.8k minor
-faults, and the median wall time was 0.95 s against 0.89 s, the policy side
-faster in 4 of the 10 pairs.  The policy is kept until a change removes it
-on its own.  It is set only in the
-worker processes this module forks and joins; the caller's process, and
-batches it evaluates itself, keep the default.  The arithmetic is the same
-either way.
-
 The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over SWEEP_DEGREES,
 on finite positive scales (at least five distinct, spanning at least 4x); the
 leading coefficient (exponent 2 - 2k) must come out positive for k <= 3.
@@ -347,51 +332,21 @@ def _slice_contributions(task) -> tuple[np.ndarray, int]:
     return dens * (2.0 * math.pi) ** bracket.k * np.prod(r, axis=1), int(np.count_nonzero(keep))
 
 
-def _worker_malloc_policy() -> None:
-    """Pool initializer: static glibc mmap and trim thresholds in this worker.
-
-    Both mallopt calls also turn off glibc's dynamic threshold adjustment,
-    which otherwise tracks the largest freed block and returns each engine
-    batch's arrays to the OS, to be faulted in again by the next batch.  A
-    no-op off glibc or when the library or mallopt is unavailable.  It must
-    never raise: an initializer that raises breaks the executor (every
-    pending task fails with BrokenProcessPool) instead of respawning its
-    workers, so the whole integration would fail.
-    """
-    try:
-        import ctypes
-        import platform
-
-        if platform.libc_ver()[0] != "glibc":
-            return
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
-        # a rejected setting (return value 0) leaves glibc's default in place
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, the dynamic threshold's 64-bit maximum
-        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: 256 MiB
-    except Exception:  # any failure keeps glibc's default policy; see the docstring
-        return
-
-
 @contextlib.contextmanager
 def _node_pool(n_nodes: int, workers: int):
     """One fork-context process pool for every slice of an integration's stream, or None in process.
 
     In process when there is one worker or a replicate of n_nodes is a
-    single slice.  Each worker runs _worker_malloc_policy first, so engine
-    batches reuse its heap instead of page-faulting it in afresh.  The policy
-    lives and dies with the workers; the calling process keeps its allocator
-    settings.  On leaving, queued tasks are cancelled (there are some only
-    after an error) and the workers are joined, so no process outlives the
-    call.
+    single slice.  On leaving, queued tasks are cancelled (there are some
+    only after an error) and the workers are joined, so no process outlives
+    the call.
     """
     if workers <= 1 or n_nodes <= _TASK_CHUNK:
         yield None
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_worker_malloc_policy)
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
         yield pool
     finally:

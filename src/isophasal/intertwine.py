@@ -24,10 +24,10 @@ Each test function is a product f_x(x) f_u(u) (amplitude, bump and monomial
 in x; bump and monomial in the complex plane coordinates of u), and
 factor_jets gives each factor's value, gradient and Hessian in closed form.
 The Laplacian is exact up to rounding: the family is unimodular, so
-Delta f = -d_mu(G^{mu nu} d_nu f), metric supplies the inverse metric and its
-divergence d_mu G^{mu nu} in closed form, and laplacian contracts them block
-by block against the two factor jets, never forming f's full Hessian; no
-derivative is taken numerically.  Angular modes come from one np.fft.fftn
+Delta f = -d_mu(G^{mu nu} d_nu f), one metric call per batch of points
+supplies the inverse metric and its divergence d_mu G^{mu nu} in closed form,
+and laplacian contracts them block by block against the two factor jets,
+never forming f's full Hessian; no derivative is taken numerically.  Angular modes come from one np.fft.fftn
 over the angle axes of the values on a torus grid, and the transport
 evaluates every fiber it needs in a fixed handful of batched Laplacian calls.
 """
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .brackets import Bracket, ConjugatorReport, conjugator
-from .metric import CutoffProfile, bump_and_derivs, inverse_metric_at, inverse_metric_divergence, polar_to_cartesian
+from .metric import CutoffProfile, bump_and_derivs, inverse_metric_at, polar_to_cartesian
 
 __all__ = [
     "TestFunction",
@@ -283,9 +283,9 @@ def laplacian(
     """Positive Laplacian -d_mu(G^{mu nu} d_nu f) of a product f = f_x(x) f_u(u) at Cartesian points.
 
     The determinant of G is one, so no volume factor appears.  G^{-1} and its
-    divergence div are metric's closed forms (inverse_metric_at and
-    inverse_metric_divergence), contracted block by block against the jets
-    (f_., g_., h_.) of f.factor_jets:
+    divergence div are metric's closed forms, from one inverse_metric_at call
+    per batch, contracted block by block against the jets (f_., g_., h_.) of
+    f.factor_jets:
     -[f_u (<G^xx, h_x> + div_x.g_x) + 2 g_x^T G^xu g_u + f_x (<G^uu, h_u> + div_u.g_u)].
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -294,8 +294,7 @@ def laplacian(
     for lo in range(0, pts.shape[0], _POINT_CHUNK):
         p = pts[lo : lo + _POINT_CHUNK]
         x, u = p[:, :m], p[:, m:]
-        Gi = inverse_metric_at(bracket, profile, x, u)
-        div_Gi = inverse_metric_divergence(bracket, profile, x, u)
+        Gi, div_Gi = inverse_metric_at(bracket, profile, x, u)
         (xv, xg, xh), (uv, ug, uh) = f.factor_jets(p)
         out[lo : lo + p.shape[0]] = -(
             uv * (np.einsum("nab,nab->n", Gi[:, :m, :m], xh) + np.einsum("na,na->n", div_Gi[:, :m], xg))

@@ -14,8 +14,8 @@ and K is the 2k x m coupling matrix assembled from the bracket.  In block form
          [-psi K,              I_2k   ]],
 
 which has det G = 1 identically, so the Riemannian measure is Lebesgue.
-inverse_metric_at and inverse_metric_divergence give G^-1 and d_mu G^{mu nu}
-in closed form.
+inverse_metric_at gives G^-1 and d_mu G^{mu nu} in closed form, from one pass
+over the field.
 
 Everything here is batched: point arguments are arrays of shape (N, m) and
 (N, 2k) and metric values come back as (N, n, n) with n = m + 2k.
@@ -37,7 +37,6 @@ __all__ = [
     "coupling_matrix",
     "metric_at",
     "inverse_metric_at",
-    "inverse_metric_divergence",
     "polar_to_cartesian",
     "plane_rotation",
 ]
@@ -156,8 +155,8 @@ class CutoffProfile:
 def _psi_and_L(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray):
     """(u, psi, L) for a batch of points: psi = phi_s(|x|^2, |u|^2) and L[n, i, p] = <[x, e_i], Z_p>.
 
-    metric_at, inverse_metric_at and inverse_metric_divergence all read the
-    field from here; u comes back as the float array K is built from.
+    metric_at and inverse_metric_at read the field from here, once per call;
+    u comes back as the float array K is built from.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -200,8 +199,18 @@ def metric_at(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.nda
     return G
 
 
-def inverse_metric_at(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Closed-form inverse: G^-1 = [[I, psi K^T], [psi K, I + psi^2 K K^T]]."""
+def inverse_metric_at(
+    bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form inverse G^-1, shape (N, n, n), and its divergence d_mu G^{mu nu}, shape (N, n).
+
+    G^-1 = [[I, psi K^T], [psi K, I + psi^2 K K^T]].  Plane p of K is the rows
+    (-L_ip u_{2p+1}, L_ip u_{2p}).  Lambda is skew, so sum_i x_i L_ip = 0 and
+    d_{x_i} L_ip = 0; u^T K = 0; and each row of K depends only on the other
+    coordinate of its plane.  Every term of the divergence's x block cancels,
+    and on plane p only -psi^2 (sum_i L_ip^2) u_p survives, from the
+    u-derivatives of K K^T.
+    """
     u, pv, L = _psi_and_L(bracket, profile, x, u)
     m = bracket.m
     n = m + 2 * bracket.k
@@ -212,25 +221,10 @@ def inverse_metric_at(bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u
     Gi[:, :m, m:] = psiK.transpose(0, 2, 1)
     Gi[:, m:, :m] = psiK
     Gi[:, m:, m:] += np.einsum("n,nai,nbi->nab", pv * pv, K, K)
-    return Gi
-
-
-def inverse_metric_divergence(
-    bracket: Bracket, profile: CutoffProfile, x: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Closed-form d_mu G^{mu nu} of inverse_metric_at's block inverse, shape (N, n).
-
-    Plane p of K is the rows (-L_ip u_{2p+1}, L_ip u_{2p}).  Lambda is skew,
-    so sum_i x_i L_ip = 0 and d_{x_i} L_ip = 0; u^T K = 0; and each row of K
-    depends only on the other coordinate of its plane.  Every term of the x
-    block cancels, and on plane p only -psi^2 (sum_i L_ip^2) u_p survives,
-    from the u-derivatives of K K^T.
-    """
-    u, pv, L = _psi_and_L(bracket, profile, x, u)
     weight = pv[:, None] ** 2 * np.einsum("nip,nip->np", L, L)  # (N, k)
-    div = np.zeros((u.shape[0], bracket.m + 2 * bracket.k))
-    div[:, bracket.m :] = -np.repeat(weight, 2, axis=1) * u
-    return div
+    div = np.zeros((u.shape[0], n))
+    div[:, m:] = -np.repeat(weight, 2, axis=1) * u
+    return Gi, div
 
 
 def polar_to_cartesian(r: np.ndarray, theta: np.ndarray) -> np.ndarray:

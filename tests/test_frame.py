@@ -354,7 +354,7 @@ def test_engine_values_independent_of_batching(name, scale, reference_profile):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap and trim thresholds")
 def test_curvature_scalars_reuses_its_pages_in_process():
-    # outside the pool's allocator policy, separate arrays for F, its scratch and M fault their
+    # under glibc's default thresholds, separate arrays for F, its scratch and M fault their
     # pages in afresh on every call; one workspace per batch does not
     code = textwrap.dedent("""
         import resource

@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import math
 import multiprocessing
@@ -286,39 +285,16 @@ def _engine_minor_faults(args):
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="worker allocator policy is glibc only")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap and trim thresholds")
 def test_pool_workers_reuse_their_heap(cross1, reference_profile):
-    # the worker policy reuses the heap.  When the engine's batch arrays were
-    # separate, glibc's default dynamic thresholds handed each batch back to the
-    # OS, about 6 faults per point and pass; with one workspace per batch the
-    # default stays near 10 faults for these 3 passes too, so this bound no
-    # longer tells the policy apart
+    # pool workers run under glibc's default dynamic thresholds, which handed
+    # each batch back to the OS when the engine's batch arrays were separate,
+    # about 6 faults per point and pass; the engine's one workspace per batch
+    # keeps the workers' pages mapped, near 10 faults for these 3 passes
     x, r = _support_points(reference_profile, 1000)
     with heat._node_pool(10 * heat._TASK_CHUNK, 2) as pool:
         faults = pool.submit(_engine_minor_faults, (cross1.tensor, reference_profile, x, r)).result()
     assert faults < x.shape[0], faults
-
-
-class _RejectingLibc:
-    """Stands in for libc: mallopt rejects every setting."""
-
-    def __init__(self, name):
-        self.mallopt = lambda param, value: 0
-
-
-def _unloadable_libc(name):
-    raise OSError(f"cannot load {name}")
-
-
-@pytest.mark.parametrize("libc", [_unloadable_libc, _RejectingLibc], ids=["no_library", "mallopt_rejects"])
-def test_pool_without_allocator_policy(cross1, reference_profile, monkeypatch, opened_pools, libc):
-    monkeypatch.setattr(ctypes, "CDLL", libc)  # inherited by the forked workers
-    assert heat._worker_malloc_policy() is None  # returns instead of raising
-    spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK)
-    r1, r2 = _two_core_runs(monkeypatch, cross1, reference_profile, spec)
-    assert opened_pools == [2]
-    _same_result(r1, r2)
-    assert multiprocessing.active_children() == []
 
 
 def test_resolve_workers(monkeypatch):

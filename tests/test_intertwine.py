@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import sympy
 
 from isophasal.brackets import Bracket, builtin_bracket
 from isophasal.coord import FDScheme, first_derivative
-from isophasal.metric import CutoffProfile, inverse_metric_at, inverse_metric_divergence, polar_to_cartesian
-from isophasal import intertwine as itw
+from isophasal.metric import CutoffProfile, inverse_metric_at, polar_to_cartesian
+from isophasal import intertwine as itw, metric
 from conftest import random_bracket, random_orthogonal
 from oracles import assembled_jets
 
@@ -378,8 +380,7 @@ def test_laplacian_blocks_match_dense_contraction(m, k, s, reference_profile, rn
     profile = reference_profile.scaled(s)
     x, r, theta = itw.default_points(m, k, profile, n_points=16, seed=3)
     pts = np.concatenate([x, polar_to_cartesian(r, theta)], axis=1)
-    Gi = inverse_metric_at(bracket, profile, x, pts[:, m:])
-    div = inverse_metric_divergence(bracket, profile, x, pts[:, m:])
+    Gi, div = inverse_metric_at(bracket, profile, x, pts[:, m:])
     fns = itw.default_test_functions(m, k, profile)
     A = random_orthogonal(m, rng)
     for fn in fns + [itw.RotatedFunction(base=f, A=A) for f in fns]:
@@ -389,6 +390,18 @@ def test_laplacian_blocks_match_dense_contraction(m, k, s, reference_profile, rn
         scale = np.max(np.abs(lap))
         assert scale > 0.0
         assert np.max(np.abs(lap - dense)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("extra, batches", [(0, 1), (1, 2)])
+def test_laplacian_reads_the_metric_field_once_per_batch(cross1, reference_profile, rng, monkeypatch, extra, batches):
+    # G^-1 and its divergence come from one pass over psi and L per batch of points
+    spy = mock.Mock(wraps=metric._psi_and_L)
+    monkeypatch.setattr(metric, "_psi_and_L", spy)
+    pts = rng.uniform(-0.3, 0.3, size=(itw._POINT_CHUNK + extra, M + 2 * K))
+    f = itw.default_test_functions(M, K, reference_profile)[1]
+    itw.laplacian(cross1, reference_profile, f, pts)
+    assert spy.call_count == batches
+    assert sum(c.args[2].shape[0] for c in spy.call_args_list) == pts.shape[0]
 
 
 # --- intertwining -------------------------------------------------------------------
@@ -451,12 +464,12 @@ def test_inverse_metric_divergence_matches_fd(cross1, cross2, quaternion, refere
         x, r, theta = small_points(profile, n=8)
         pts = np.concatenate([x, polar_to_cartesian(r, theta)], axis=1)
         for bracket in (cross1, cross2, quaternion, control):
-            div = inverse_metric_divergence(bracket, profile, pts[:, :M], pts[:, M:])
+            div = inverse_metric_at(bracket, profile, pts[:, :M], pts[:, M:])[1]
             assert np.all(div[:, :M] == 0.0)
             assert np.max(np.abs(div[:, M:])) > 1e-3
 
             def ginv(q):
-                return itw.inverse_metric_at(bracket, profile, q[:, :M], q[:, M:])
+                return itw.inverse_metric_at(bracket, profile, q[:, :M], q[:, M:])[0]
 
             err = []
             for h in (2e-2, 1e-2, 1e-3):

@@ -141,7 +141,7 @@ def test_metric_unimodular_and_inverse(cross1, quaternion, reference_profile, rn
         x = rng.uniform(-0.9, 0.9, size=(200, 6))
         u = rng.uniform(-0.5, 0.5, size=(200, 6))
         G = metric_at(b, reference_profile, x, u)
-        Gi = inverse_metric_at(b, reference_profile, x, u)
+        Gi, _div = inverse_metric_at(b, reference_profile, x, u)
         assert np.max(np.abs(np.linalg.det(G) - 1.0)) < 1e-12
         assert np.max(np.abs(np.einsum("nab,nbc->nac", G, Gi) - np.eye(12))) < 1e-12
         # symmetric positive definite
