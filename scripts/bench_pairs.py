@@ -17,16 +17,18 @@ to workload.  Both sides are committed revisions: commit the change before
 running the script.
 
 Writes BENCH_<sha>.json for each side into the repository root.
-Each file holds the environment of perfbench's detail line, every run's
-detail and result lines, and per workload and end-to-end metric the median,
-the quartiles and the number of pairs this side won (strictly better than
-the other side).  Under `trace` it holds, per workload, the detail and
-result lines of the traced run, with the per-layer metrics.  Those are single
-runs, not medians: compare them between the two sides of one file pair only
-as counts or as rough costs.  A traced `sweep` holds one traced operation, so
-its per-layer values are single samples.  `src_tree` is the git tree of the
-side's `src/`, so a file can be matched to any commit carrying the same
-sources.
+Each file holds the environment of perfbench's detail line, with whether
+PYTHONDONTWRITEBYTECODE is set (then every run compiles the sources it
+imports, a cost that lands in setup_s) and each side's src/isophasal line
+count; every run's detail and result lines; and per workload and end-to-end
+metric the median, the quartiles and the number of pairs this side won
+(strictly better than the other side).  Under `trace` it holds, per
+workload, the detail and result lines of the traced run, with the per-layer
+metrics.  Those are single runs, not medians: compare them between the two
+sides of one file pair only as counts or as rough costs.  A traced `sweep`
+holds one traced operation, so its per-layer values are single samples.
+`src_tree` is the git tree of the side's `src/`, so a file can be matched to
+any commit carrying the same sources.
 
 Last, each side builds perfbench's workloads (`workloads.WORKLOADS`) at
 `FULL` sizes, seed 7 and ISOPHASAL_THREADS=2 from its own tree and runs each
@@ -62,6 +64,10 @@ def unpack(rev: str, dest: Path) -> None:
     dest.mkdir()
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(path.read_text().splitlines()) for path in (tree / "src" / "isophasal").glob("*.py"))
 
 
 def run_workload(tree: Path, workload: str, trace: int = 0) -> tuple[dict, dict]:
@@ -142,6 +148,7 @@ def main(argv=None) -> int:
         trees = {side: tmp / side for side in shas}
         for side, sha in shas.items():
             unpack(sha, trees[side])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in WORKLOADS:
@@ -168,7 +175,8 @@ def main(argv=None) -> int:
             "side": side, "rev": sha, "src_tree": git("rev-parse", f"{sha}:src"),
             "against": shas[other], "pairs": PAIRS,
             "command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0 (pairs), --trace 1 (trace)",
-            "environment": first["environment"],
+            "environment": {**first["environment"], "src_isophasal_lines": lines,
+                            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))},
             "summary": summary(runs[side], runs[other], metrics),
             "runs": runs[side],
             "trace": traces[side],

@@ -57,7 +57,6 @@ import itertools
 import math
 import os
 import time
-from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
@@ -345,6 +344,7 @@ def _node_pool(n_nodes: int, workers: int):
         yield None
         return
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:

@@ -22,14 +22,15 @@ check loudly; that negative control is part of the contract.
 
 Each test function is a product f_x(x) f_u(u) (amplitude, bump and monomial
 in x; bump and monomial in the complex plane coordinates of u), and
-factor_jets gives each factor's value, gradient and Hessian in closed form.
-The Laplacian is exact up to rounding: the family is unimodular, so
-Delta f = -d_mu(G^{mu nu} d_nu f), one metric call per batch of points
-supplies the inverse metric and its divergence d_mu G^{mu nu} in closed form,
-and laplacian contracts them block by block against the two factor jets,
-never forming f's full Hessian; no derivative is taken numerically.  Angular modes come from one np.fft.fftn
-over the angle axes of the values on a torus grid, and the transport
-evaluates every fiber it needs in a fixed handful of batched Laplacian calls.
+factor_jets gives each factor's value, gradient and Hessian in closed form,
+the x factor's once per fiber.  The Laplacian is exact up to rounding: the
+family is unimodular, so Delta f = -d_mu(G^{mu nu} d_nu f), one metric call
+per batch of points supplies the inverse metric and its divergence in closed
+form to every test function, and laplacian contracts them block by block
+against the factor jets; no derivative is taken numerically.  Angular modes
+come from one np.fft.fftn over the angle axes of the values on a torus grid,
+the whole basket's in one Laplacian call, and the transport evaluates every
+fiber it needs in a fixed handful of batched Laplacian calls per function.
 """
 
 from __future__ import annotations
@@ -139,11 +140,19 @@ class TestFunction:
         return max((abs(z) for z in self.freq), default=0)
 
     def factor_jets(self, pts: np.ndarray):
-        """(value, gradient, Hessian) of the x factor (amplitude included) over x and of the u factor over u."""
+        """(value, gradient, Hessian) of the x factor (amplitude included) over x and of the u factor over u.
+
+        The x factor is evaluated once per run of rows with bitwise equal x (a fiber) and repeated over it.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m, k = self.m, self.k
         x, u = pts[:, :m], pts[:, m:]
-        fx = _product(_envelope(x, self.x_bump_rsq), _monomial(x, self.powers))
+        bits = x.view(np.int64)  # compared as bits, so -0.0 and 0.0 start separate runs
+        new_run = np.ones(len(x), dtype=bool)
+        new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+        starts = np.flatnonzero(new_run)
+        xs = x[starts]
+        fx = _product(_envelope(xs, self.x_bump_rsq), _monomial(xs, self.powers))
         # The winding factor prod_p z_p^{|Z_p|}, z_p = u_{2p} + i sgn(Z_p) u_{2p+1},
         # realizes e^(i Z.theta) r^{|Z|} as a polynomial: smooth on all of R^2k
         # and carrying exactly the frequency Z.  J = dz/du is constant.
@@ -152,7 +161,8 @@ class TestFunction:
         J[np.arange(k), 2 * np.arange(k) + 1] = np.where(np.asarray(self.freq) >= 0, 1j, -1j)
         wv, wg, wh = _monomial(u @ J.T, [abs(z) for z in self.freq])
         fu = _product(_envelope(u, self.u_bump_rsq), (wv, wg @ J, J.T @ wh @ J))
-        return tuple(self.amplitude * a for a in fx), fu
+        runs = np.diff(starts, append=len(x))
+        return tuple(np.repeat(self.amplitude * a, runs, axis=0) for a in fx), fu
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         (xv, _, _), (uv, _, _) = self.factor_jets(pts)
@@ -189,9 +199,10 @@ class FourierField:
     Coefficients are trapezoid sums on a uniform torus grid of
     grid_size = 2N + 1 points per angle, exact on trigonometric polynomials
     of degree up to N per angle, all taken at once by one np.fft.fftn over
-    the angle axes: the coefficient of Z is spectrum[Z mod grid_size] /
-    grid_size^k.  Fibers come in batches x (P, m) and r (P, k), all evaluated
-    in one call of f, and every method returns one coefficient per fiber.
+    the trailing angle axes: the coefficient of Z is spectrum[Z mod grid_size]
+    / grid_size^k.  Fibers come in batches x (P, m) and r (P, k), all
+    evaluated in one call of f, and every method returns one coefficient per
+    fiber, (..., P) where f returns leading axes (..., points).
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], N: int, k: int):
@@ -203,8 +214,8 @@ class FourierField:
         mesh = np.meshgrid(*([grid_1d] * k), indexing="ij")
         self.sigma = np.stack([g.ravel() for g in mesh], axis=1)  # (G, k)
 
-    def _values(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """f on the grid of every fiber, shape (P,) + (grid_size,) * k."""
+    def _spectrum(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Spectrum of f on the grid of every fiber, shape (..., P) + (grid_size,) * k."""
         P, G = len(x), self.sigma.shape[0]
         pts = np.concatenate(
             [
@@ -213,10 +224,9 @@ class FourierField:
             ],
             axis=1,
         )
-        return np.asarray(self.f(pts)).reshape((P,) + (self.grid_size,) * self.k)
-
-    def _spectrum(self, vals: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(vals, axes=tuple(range(1, self.k + 1))) / self.sigma.shape[0]
+        vals = np.asarray(self.f(pts))
+        vals = vals.reshape(vals.shape[:-1] + (P,) + (self.grid_size,) * self.k)
+        return np.fft.fftn(vals, axes=tuple(range(-self.k, 0))) / G
 
     def _index(self, Z) -> tuple:
         """Spectrum index of a frequency Z (k,), or per-axis index arrays for Z (L, k)."""
@@ -224,16 +234,16 @@ class FourierField:
         return tuple(wrapped[..., p] for p in range(self.k))
 
     def coefficient(self, Z, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """f_Z on each fiber, shape (P,); Z is (k,) or one frequency per fiber (P, k)."""
-        spec = self._spectrum(self._values(x, r))
-        return spec[(np.arange(spec.shape[0]),) + self._index(Z)]
+        """f_Z on each fiber, shape (..., P); Z is (k,) or one frequency per fiber (P, k)."""
+        spec = self._spectrum(x, r)
+        return spec[(..., np.arange(len(x))) + self._index(Z)]
 
     def coefficients_all(self, x: np.ndarray, r: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-        """Every f_Z with |Z|_inf <= N, in mode_vectors order, each of shape (P,)."""
-        spec = self._spectrum(self._values(x, r))
+        """Every f_Z with |Z|_inf <= N, in mode_vectors order, each of shape (..., P)."""
+        spec = self._spectrum(x, r)
         modes = mode_vectors(self.N, self.k)
-        coefs = spec[(slice(None),) + self._index(modes)]  # (P, len(modes))
-        return {Z: coefs[:, j] for j, Z in enumerate(modes)}
+        coefs = spec[(..., slice(None)) + self._index(modes)]  # (..., P, len(modes))
+        return {Z: coefs[..., j] for j, Z in enumerate(modes)}
 
 
 def build_conjugators(
@@ -274,33 +284,28 @@ def apply_Q(conjugators: dict[tuple[int, ...], ConjugatorReport], f: TestFunctio
     return RotatedFunction(base=f, A=conjugators[Z].A)
 
 
-def laplacian(
-    bracket: Bracket,
-    profile: CutoffProfile,
-    f,
-    pts: np.ndarray,
-) -> np.ndarray:
-    """Positive Laplacian -d_mu(G^{mu nu} d_nu f) of a product f = f_x(x) f_u(u) at Cartesian points.
+def laplacian(bracket: Bracket, profile: CutoffProfile, functions: Sequence, pts: np.ndarray) -> np.ndarray:
+    """Positive Laplacian -d_mu(G^{mu nu} d_nu f) of each product f = f_x(x) f_u(u) at Cartesian points, (F, N).
 
     The determinant of G is one, so no volume factor appears.  G^{-1} and its
     divergence div are metric's closed forms, from one inverse_metric_at call
-    per batch, contracted block by block against the jets (f_., g_., h_.) of
-    f.factor_jets:
+    per batch of points shared by every function, contracted block by block
+    against the jets (f_., g_., h_.) of each f.factor_jets:
     -[f_u (<G^xx, h_x> + div_x.g_x) + 2 g_x^T G^xu g_u + f_x (<G^uu, h_u> + div_u.g_u)].
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m = bracket.m
-    out = np.empty(pts.shape[0], dtype=complex)
+    out = np.empty((len(functions), pts.shape[0]), dtype=complex)
     for lo in range(0, pts.shape[0], _POINT_CHUNK):
         p = pts[lo : lo + _POINT_CHUNK]
-        x, u = p[:, :m], p[:, m:]
-        Gi, div_Gi = inverse_metric_at(bracket, profile, x, u)
-        (xv, xg, xh), (uv, ug, uh) = f.factor_jets(p)
-        out[lo : lo + p.shape[0]] = -(
-            uv * (np.einsum("nab,nab->n", Gi[:, :m, :m], xh) + np.einsum("na,na->n", div_Gi[:, :m], xg))
-            + 2.0 * np.einsum("na,nab,nb->n", xg, Gi[:, :m, m:], ug)
-            + xv * (np.einsum("nab,nab->n", Gi[:, m:, m:], uh) + np.einsum("na,na->n", div_Gi[:, m:], ug))
-        )
+        Gi, div_Gi = inverse_metric_at(bracket, profile, p[:, :m], p[:, m:])
+        for row, f in zip(out, functions):
+            (xv, xg, xh), (uv, ug, uh) = f.factor_jets(p)
+            row[lo : lo + p.shape[0]] = -(
+                uv * (np.einsum("nab,nab->n", Gi[:, :m, :m], xh) + np.einsum("na,na->n", div_Gi[:, :m], xg))
+                + 2.0 * np.einsum("na,nab,nb->n", xg, Gi[:, :m, m:], ug)
+                + xv * (np.einsum("nab,nab->n", Gi[:, m:, m:], uh) + np.einsum("na,na->n", div_Gi[:, m:], ug))
+            )
     return out
 
 
@@ -326,30 +331,25 @@ class IntertwineReport:
 
 
 def _decompose(
-    b2: Bracket, profile: CutoffProfile, f: TestFunction, x_pts: np.ndarray, r_pts: np.ndarray, N: int
-) -> tuple[FourierField, np.ndarray, list[tuple[int, ...]]]:
-    """Delta_{g2} f split over theta on every point's fiber, in one batched Laplacian call.
+    b2: Bracket, profile: CutoffProfile, functions: Sequence[TestFunction], x_pts: np.ndarray, r_pts: np.ndarray, N: int
+) -> list[tuple[np.ndarray, list[tuple[int, ...]]]]:
+    """Every Delta_{g2} f split over theta on every point's fiber, in one batched Laplacian call.
 
-    Returns the field and its live (point, mode) pairs: a mode is live at a
+    Returns each function's live (point, mode) pairs: a mode is live at a
     point where its |coefficient| exceeds _LIVE_RTOL of the point's largest.
     """
-    field = FourierField(lambda q: laplacian(b2, profile, f, q), N, b2.k)
+    field = FourierField(lambda q: laplacian(b2, profile, functions, q), N, b2.k)
     coefs = field.coefficients_all(x_pts, r_pts)
     modes = list(coefs)
-    C = np.abs(np.stack([coefs[Z] for Z in modes], axis=1))  # (P, modes)
-    floor = _LIVE_RTOL * np.maximum(np.max(C, axis=1), 1e-300)
-    live_pt, live_mode = np.nonzero(C > floor[:, None])
-    return field, live_pt, [modes[j] for j in live_mode]
+    C = np.abs(np.stack([coefs[Z] for Z in modes], axis=-1))  # (F, P, modes)
+    floor = _LIVE_RTOL * np.maximum(np.max(C, axis=-1), 1e-300)
+    fn, live_pt, live_mode = np.nonzero(C > floor[..., None])
+    return [(live_pt[fn == i], [modes[j] for j in live_mode[fn == i]]) for i in range(len(functions))]
 
 
 def _transport(
-    field: FourierField,
-    live_pt: np.ndarray,
-    live: list[tuple[int, ...]],
-    conjugators: dict[tuple[int, ...], ConjugatorReport],
-    x_pts: np.ndarray,
-    r_pts: np.ndarray,
-    theta_pts: np.ndarray,
+    field: FourierField, live_pt: np.ndarray, live: list[tuple[int, ...]],
+    conjugators: dict[tuple[int, ...], ConjugatorReport], x_pts: np.ndarray, r_pts: np.ndarray, theta_pts: np.ndarray,
 ) -> np.ndarray:
     """Q(Delta_{g2} f) at polar points: each live mode Z read on its rotated fiber (A_Z x, r).
 
@@ -373,12 +373,14 @@ def _truncation_tail(
 
     Taken on the first _TAIL_FIBERS fibers, the worst fiber reported.
     """
-    wide = FourierField(lambda q: laplacian(b2, profile, f, q), N + 2, b2.k)
-    n_tail = min(_TAIL_FIBERS, x_pts.shape[0])
-    wide_coefs = wide.coefficients_all(x_pts[:n_tail], r_pts[:n_tail])
-    total = sum(np.abs(c) for c in wide_coefs.values())
-    beyond = sum(np.abs(c) for Z, c in wide_coefs.items() if max(abs(z) for z in Z) > N)
-    return max((float(b / t) for b, t in zip(beyond, total) if t > 0), default=0.0)
+    wide = FourierField(lambda q: laplacian(b2, profile, [f], q)[0], N + 2, b2.k)
+    wide_coefs = wide.coefficients_all(x_pts[:_TAIL_FIBERS], r_pts[:_TAIL_FIBERS])
+    C = np.abs(np.stack(list(wide_coefs.values())))  # (modes, P)
+    # running sums add the modes in mode_vectors order; np.sum adds one fiber's pairwise
+    total = np.add.accumulate(C, axis=0)[-1]
+    beyond = np.add.accumulate(C[np.max(np.abs(list(wide_coefs)), axis=1) > N], axis=0)[-1]
+    live = total > 0
+    return float(np.max(beyond[live] / total[live], initial=0.0))
 
 
 def intertwine_residual(
@@ -401,16 +403,17 @@ def intertwine_residual(
     cart = np.concatenate([x_pts, polar_to_cartesian(r_pts, theta_pts)], axis=1)
     if N is None:
         N = max(f.band_limit for f in test_functions)
-    decomposed = [_decompose(b2, profile, f, x_pts, r_pts, N) for f in test_functions]
-    modes = {tuple(f.freq) for f in test_functions if f.band_limit <= N}
-    for _field, _live_pt, live in decomposed:
-        modes.update(live)
+    decomposed = _decompose(b2, profile, test_functions, x_pts, r_pts, N)
+    in_band = [f for f in test_functions if f.band_limit <= N]
+    modes = {tuple(f.freq) for f in in_band}.union(*(live for _live_pt, live in decomposed))
     conj = build_conjugators(b1, b2, sorted(modes), strict=strict)
+    lhs_rows = iter(laplacian(b1, profile, [apply_Q(conj, f) for f in in_band], cart))
     per_fn = []
-    for f, (field, live_pt, live) in zip(test_functions, decomposed):
+    for f, (live_pt, live) in zip(test_functions, decomposed):
         # the truncated Q maps a mode beyond the band to zero, while the
         # undersized theta grid aliases it on the transported side
-        lhs = laplacian(b1, profile, apply_Q(conj, f), cart) if f.band_limit <= N else 0.0
+        lhs = next(lhs_rows) if f.band_limit <= N else 0.0
+        field = FourierField(lambda q: laplacian(b2, profile, [f], q)[0], N, b2.k)
         rhs = _transport(field, live_pt, live, conj, x_pts, r_pts, theta_pts)
         per_fn.append(float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
     # max keeps the first of equally wide functions

@@ -1,8 +1,8 @@
-"""Test-only oracles: scaling-degree probes of frame quantities, metric helpers
-and the full jets of product test functions.
+"""Test-only oracles: scaling-degree probes of frame quantities, metric helpers,
+the full jets of product test functions and a per-direction spectrum check.
 
-No program calls these; the frame, metric and intertwine tests and acceptance
-criterion 5 do.
+No program calls these; the frame, metric, intertwine and bracket tests and
+acceptance criterion 5 do.
 """
 
 import math
@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from isophasal.brackets import Bracket
+from isophasal.brackets import Bracket, spectrum
 from isophasal.metric import CutoffProfile, metric_at
 
 _TINY = 1e-300  # degree_probe skips samples below this magnitude as zero
@@ -160,3 +160,11 @@ def assembled_jets(fn, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     hess[:, :m, m:] = xg[:, :, None] * ug[:, None, :]
     hess[:, m:, :m] = hess[:, :m, m:].transpose(0, 2, 1)
     return xv * uv, grad, hess
+
+
+def isospectral_deviation_loop(b1: Bracket, b2: Bracket, samples: np.ndarray) -> float:
+    """max over the sample directions Z of max |spectrum(b1, Z) - spectrum(b2, Z)|, one Z at a time."""
+    max_dev = 0.0
+    for Z in samples:
+        max_dev = max(max_dev, float(np.max(np.abs(spectrum(b1, Z) - spectrum(b2, Z)))))
+    return max_dev

@@ -38,7 +38,7 @@ def test_laplacian_looks_up_inverse_metric_in_intertwine(monkeypatch):
     bracket = builtin_bracket("cross1")
     profile = CutoffProfile(1.0, 1.0)
     f = intertwine.default_test_functions(bracket.m, bracket.k, profile)[1]
-    intertwine.laplacian(bracket, profile, f, np.full((2, bracket.m + 2 * bracket.k), 0.2))
+    intertwine.laplacian(bracket, profile, [f], np.full((2, bracket.m + 2 * bracket.k), 0.2))
     assert spy.call_count >= 1
 
 

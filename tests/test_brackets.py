@@ -19,6 +19,7 @@ from isophasal.brackets import (
     spectrum,
 )
 from conftest import random_bracket, random_orthogonal
+from oracles import isospectral_deviation_loop
 
 
 # --- j-maps ----------------------------------------------------------------
@@ -122,6 +123,19 @@ def test_isospectral_symmetric(cross1, quaternion):
     r21 = check_isospectral(quaternion, cross1, seed=7)
     assert r12.isospectral == r21.isospectral
     assert r12.max_deviation == pytest.approx(r21.max_deviation, abs=1e-15)
+
+
+@pytest.mark.parametrize("m, k", [(5, 2), (6, 3), (7, 4)])
+def test_isospectral_batch_matches_per_direction_loop(m, k, rng):
+    # the stacked SVD against one spectrum call per direction, bitwise, on an
+    # isospectral (conjugated) pair and a non-isospectral (independent) one
+    b1 = random_bracket(m, k, rng)
+    for b2, isospectral in ((b1.conjugated(random_orthogonal(m, rng)), True), (random_bracket(m, k, rng), False)):
+        rep = check_isospectral(b1, b2, seed=3)
+        v = np.random.default_rng(3).normal(size=(rep.n_samples - k, k))
+        samples = np.concatenate([np.eye(k), v / np.linalg.norm(v, axis=1, keepdims=True)])
+        assert rep.max_deviation == isospectral_deviation_loop(b1, b2, samples)
+        assert rep.isospectral == isospectral
 
 
 def test_isospectral_dimension_mismatch(cross1, rng):

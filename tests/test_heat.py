@@ -161,6 +161,16 @@ def test_heat_and_intertwine_import_leaves_coord_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_run_path_imports_leave_multiprocessing_unloaded():
+    # the node pool imports multiprocessing when it starts workers, so an
+    # in-process run does not pay for the import
+    src = str(Path(isophasal.__file__).resolve().parents[1])
+    code = "import isophasal.config, isophasal.heat, isophasal.intertwine, sys; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_zero_bracket_integral(zero_bracket, reference_profile):
     res = integrate_a2(zero_bracket, reference_profile, SMALL)
     assert abs(res.value) < 1e-22

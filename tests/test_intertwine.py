@@ -190,6 +190,26 @@ def test_fourier_batched_fibers(rng):
         assert abs(picked[i] - single[tuple(Zs[i])]) <= 1e-15 * max(1.0, abs(picked[i]))
 
 
+def test_fourier_vector_valued_matches_components(rng):
+    # an evaluator with a leading output axis gives each component's
+    # coefficients, bitwise equal to that component's own field
+    fns = [TF, itw.TestFunction(m=M, freq=(0, 2, 1), powers=(0, 1)), smooth_all_modes]
+    field = itw.FourierField(lambda q: np.stack([f(q) for f in fns]), N=2, k=K)
+    xs = rng.uniform(-0.3, 0.3, size=(4, M))
+    rs = rng.uniform(0.2, 0.5, size=(4, K))
+    Zs = np.array([(0, 0, 0), (-2, 1, 0), (1, -2, 0), (2, 2, -2)])
+    coefs = field.coefficients_all(xs, rs)
+    picked = field.coefficient(Zs, xs, rs)
+    one = field.coefficient((1, -2, 0), xs, rs)
+    assert picked.shape == one.shape == (len(fns), 4)
+    for i, f in enumerate(fns):
+        single = itw.FourierField(f, N=2, k=K)
+        for Z, c in single.coefficients_all(xs, rs).items():
+            np.testing.assert_array_equal(coefs[Z][i], c)
+        np.testing.assert_array_equal(picked[i], single.coefficient(Zs, xs, rs))
+        np.testing.assert_array_equal(one[i], single.coefficient((1, -2, 0), xs, rs))
+
+
 # --- Q ---------------------------------------------------------------------------
 
 def test_apply_q_identity_pair(cross1, rng):
@@ -206,10 +226,9 @@ def test_apply_q_out_of_band_is_zero(cross1, quaternion, reference_profile, monk
     lhs_functions, transported = [], []
     laplacian, transport = itw.laplacian, itw._transport
 
-    def laplacian_spy(bracket, profile, f, pts):
-        if isinstance(f, itw.RotatedFunction):
-            lhs_functions.append(f)
-        return laplacian(bracket, profile, f, pts)
+    def laplacian_spy(bracket, profile, functions, pts):
+        lhs_functions.extend(f for f in functions if isinstance(f, itw.RotatedFunction))
+        return laplacian(bracket, profile, functions, pts)
 
     def transport_spy(*args):
         transported.append(transport(*args))
@@ -332,7 +351,7 @@ class Gaussian:
 
 def test_laplacian_euclidean_gaussian(zero_bracket, reference_profile, rng):
     pts = sample_points(rng, lo=-0.7, hi=0.7)
-    lap = itw.laplacian(zero_bracket, reference_profile, Gaussian(), pts)
+    [lap] = itw.laplacian(zero_bracket, reference_profile, [Gaussian()], pts)
     t = np.sum(pts * pts, axis=1)
     np.testing.assert_allclose(lap.real, (12 - t) * np.exp(-0.5 * t), atol=1e-10)
     np.testing.assert_allclose(lap.imag, 0.0, atol=1e-12)
@@ -354,19 +373,19 @@ def test_laplacian_flat_polar_phase(cross1, reference_profile, rng):
 
     pt = np.concatenate([x0, polar_to_cartesian(r0[None], th0[None])[0]])[None]
     fn = FDFactors(lambda x: np.ones(len(x)), phase, FDScheme(h=1e-4, richardson=True))
-    lap = itw.laplacian(cross1, reference_profile, fn, pt)
+    [lap] = itw.laplacian(cross1, reference_profile, [fn], pt)
     want = np.sum(Z**2 / r0**2) * phase(pt[:, M:])
     np.testing.assert_allclose(lap, want, rtol=1e-5)
 
 
 def test_laplacian_fd_vs_analytic(cross1, reference_profile, rng):
     pts = sample_points(rng, n=3)
-    a = itw.laplacian(cross1, reference_profile, TF, pts)
+    [a] = itw.laplacian(cross1, reference_profile, [TF], pts)
     scheme = FDScheme(h=1e-3 * max(reference_profile.x_radius, reference_profile.u_radius), richardson=False)
     # each factor's values, read off TF at a point whose other block is zero
     fx = lambda x: TF.factor_jets(np.concatenate([x, np.zeros((len(x), 2 * K))], axis=1))[0][0]
     fu = lambda u: TF.factor_jets(np.concatenate([np.zeros((len(u), M)), u], axis=1))[1][0]
-    f = itw.laplacian(cross1, reference_profile, FDFactors(fx, fu, scheme), pts)
+    [f] = itw.laplacian(cross1, reference_profile, [FDFactors(fx, fu, scheme)], pts)
     np.testing.assert_allclose(a, f, atol=1e-6)
 
 
@@ -386,22 +405,67 @@ def test_laplacian_blocks_match_dense_contraction(m, k, s, reference_profile, rn
     for fn in fns + [itw.RotatedFunction(base=f, A=A) for f in fns]:
         _val, grad, hess = assembled_jets(fn, pts)
         dense = -(np.einsum("nab,nab->n", Gi, hess) + np.einsum("na,na->n", div, grad))
-        lap = itw.laplacian(bracket, profile, fn, pts)
+        [lap] = itw.laplacian(bracket, profile, [fn], pts)
         scale = np.max(np.abs(lap))
         assert scale > 0.0
         assert np.max(np.abs(lap - dense)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n_functions", [1, 6])
 @pytest.mark.parametrize("extra, batches", [(0, 1), (1, 2)])
-def test_laplacian_reads_the_metric_field_once_per_batch(cross1, reference_profile, rng, monkeypatch, extra, batches):
-    # G^-1 and its divergence come from one pass over psi and L per batch of points
+def test_laplacian_reads_the_metric_field_once_per_batch(
+    cross1, reference_profile, rng, monkeypatch, extra, batches, n_functions
+):
+    # G^-1 and its divergence come from one pass over psi and L per batch of
+    # points, shared by every function
     spy = mock.Mock(wraps=metric._psi_and_L)
     monkeypatch.setattr(metric, "_psi_and_L", spy)
     pts = rng.uniform(-0.3, 0.3, size=(itw._POINT_CHUNK + extra, M + 2 * K))
-    f = itw.default_test_functions(M, K, reference_profile)[1]
-    itw.laplacian(cross1, reference_profile, f, pts)
+    fns = itw.default_test_functions(M, K, reference_profile)[1 : 1 + n_functions]
+    lap = itw.laplacian(cross1, reference_profile, fns, pts)
+    assert lap.shape == (n_functions, pts.shape[0])
     assert spy.call_count == batches
     assert sum(c.args[2].shape[0] for c in spy.call_args_list) == pts.shape[0]
+
+
+def fiber_points(profile, n_fibers=5, grid=3):
+    """n_fibers fibers of grid^K torus grid points each, every fiber's rows consecutive."""
+    x, r, _theta = itw.default_points(M, K, profile, n_points=n_fibers, seed=11)
+    sigma = 2.0 * np.pi * np.stack(np.meshgrid(*[np.arange(grid) / grid] * K, indexing="ij"), axis=-1).reshape(-1, K)
+    G = sigma.shape[0]
+    u = polar_to_cartesian(np.repeat(r, G, axis=0), np.tile(sigma, (n_fibers, 1)))
+    return np.concatenate([np.repeat(x, G, axis=0), u], axis=1)
+
+
+def test_laplacian_rows_match_one_function_calls(cross1, quaternion, reference_profile):
+    # each row of a multi-function call equals that function alone, bitwise,
+    # over more than one batch and for rotated functions too
+    pts = np.tile(fiber_points(reference_profile), (22, 1))  # 2 970 points: 6 batches
+    fns = itw.default_test_functions(M, K, reference_profile)
+    conj = itw.build_conjugators(cross1, quaternion, [f.freq for f in fns])
+    fns += [itw.apply_Q(conj, f) for f in fns]
+    lap = itw.laplacian(quaternion, reference_profile, fns, pts)
+    for row, fn in zip(lap, fns):
+        [single] = itw.laplacian(quaternion, reference_profile, [fn], pts)
+        np.testing.assert_array_equal(row, single)
+
+
+def test_fiber_order_does_not_change_jets_or_laplacian(cross1, reference_profile):
+    # x factor jets evaluated once per fiber equal those evaluated point by
+    # point, and the Laplacian is the same on the points interleaved (no two
+    # consecutive rows share x), bitwise; the u factor's matrix products may
+    # round differently in one-row batches, so only the x factor goes point by point
+    pts = fiber_points(reference_profile)
+    pts[:, : M - 1] = pts[0, : M - 1]  # fibers differ in their last x coordinate only
+    fns = itw.default_test_functions(M, K, reference_profile)
+    for fn in fns:
+        by_point = [fn.factor_jets(p[None])[0] for p in pts]
+        for j, a in enumerate(fn.factor_jets(pts)[0]):
+            np.testing.assert_array_equal(a, np.concatenate([jets[j] for jets in by_point]))
+    perm = np.arange(pts.shape[0]).reshape(5, -1).T.ravel()
+    assert np.all(np.any(pts[perm][1:, :M] != pts[perm][:-1, :M], axis=1))
+    lap = itw.laplacian(cross1, reference_profile, fns, pts)
+    np.testing.assert_array_equal(lap[:, perm], itw.laplacian(cross1, reference_profile, fns, pts[perm]))
 
 
 # --- intertwining -------------------------------------------------------------------
@@ -515,6 +579,20 @@ def test_intertwine_builds_only_the_modes_q_uses(cross1, cross2, reference_profi
     assert sorted(conjugator_calls) == sorted({f.freq for f in fns} - {(0, 0, 0)})
     assert rep.n_conjugators == 6  # A_0 = I included
     assert rep.max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("n_points", [1, 3])
+def test_truncation_tail_matches_per_mode_sums(quaternion, reference_profile, n_points):
+    # the tail sums the modes in mode_vectors order, bitwise as a loop over them
+    f = itw.default_test_functions(M, K, reference_profile)[5]
+    x, r, _theta = small_points(reference_profile, n=n_points)
+    wide = itw.FourierField(lambda q: itw.laplacian(quaternion, reference_profile, [f], q)[0], 4, K)
+    coefs = wide.coefficients_all(x, r)
+    total = sum(np.abs(c) for c in coefs.values())
+    beyond = sum(np.abs(c) for Z, c in coefs.items() if max(map(abs, Z)) > 2)
+    want = max(float(b / t) for b, t in zip(beyond, total) if t > 0)
+    assert 0.0 < want < 1e-12
+    assert itw._truncation_tail(quaternion, reference_profile, f, x, r, 2) == want
 
 
 def test_intertwine_tail_on_widest_function(cross1, quaternion, reference_profile):
