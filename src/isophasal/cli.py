@@ -176,7 +176,7 @@ def _cmd_intertwine(cfg: RunConfig) -> int:
     profile = cfg.cutoff()
     fns = intertwine.default_test_functions(b1.m, b1.k, profile)[: cfg.n_functions]
     pts = intertwine.default_points(b1.m, b1.k, profile, n_points=cfg.n_points, seed=cfg.quadrature().seed)
-    rep = intertwine.intertwine_residual(b1, b2, profile, fns, pts, N=cfg.band_limit)
+    rep = intertwine.intertwine_residual(b1, b2, profile, fns, pts)
     rec = _stamp(cfg, {
         "pair": ["bracket", "bracket2"], "N": rep.band_limit, "n_points": rep.n_points,
         "max_residual": rep.max_residual, "truncation_tail": rep.truncation_tail,

@@ -57,7 +57,6 @@ _DEFAULTS: dict[str, str] = {
     "quadrature.replicates": "8",
     "quadrature.seed": "0",
     "sweep.s_list": "1,2,4,8,16",
-    "intertwine.band_limit": "2",
     "intertwine.n_points": "40",
     "intertwine.n_functions": "8",
     "output.dir": "out",
@@ -104,7 +103,6 @@ class RunConfig:
     config_hash: str
     out_dir: Path
     s_list: tuple[float, ...]
-    band_limit: int
     n_points: int
     n_functions: int
     _brackets: tuple[Bracket, Bracket | None]
@@ -189,7 +187,6 @@ def parse_config(
         config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
         out_dir=path("output.dir", values["output.dir"]),
         s_list=read("sweep.s_list", lambda v: tuple(_scale_list(t for t in v.split(",") if t.strip()))),
-        band_limit=read("intertwine.band_limit", _int_in(0)),
         n_points=read("intertwine.n_points", _int_in(1)),
         n_functions=read("intertwine.n_functions", _int_in(1, len(TEST_BASKET))),
         _brackets=(b1, b2),

@@ -12,10 +12,10 @@ build_conjugators computes A_Z for a given list of modes, and apply_Q is the
 one map from a single-mode function to its image under Q.  The check
 performed here is Delta_{g1}(Q f) = Q(Delta_{g2} f) pointwise for a basket
 of band-limited test functions, in two passes per pair: Delta_{g2} f is
-evaluated numerically and re-decomposed over theta with the same band limit,
-which names the modes Q needs (each in-band f.freq and every live mode);
-then the conjugators of exactly those modes are built, once, and the
-coefficients are composed with the per-mode rotations.  The truncation tail,
+evaluated numerically and re-decomposed over theta at the basket's own band
+N = max f.band_limit, which names the modes Q needs (each f.freq and every
+live mode); then the conjugators of exactly those modes are built, once, and
+the coefficients are composed with the per-mode rotations.  The truncation tail,
 which mode preservation keeps at rounding level, is measured once per pair,
 on the widest-band test function.  A non-isospectral pair must fail this
 check loudly; that negative control is part of the contract.
@@ -275,8 +275,7 @@ def apply_Q(conjugators: dict[tuple[int, ...], ConjugatorReport], f: TestFunctio
 
     conjugators is build_conjugators(b1, b2, modes) with Z among the modes;
     the result lives on the first metric's side, Delta_{g1}(Q f) = Q(Delta_{g2} f).
-    A mode with no built conjugator raises KeyError.  The truncated Q's zero
-    beyond the band is intertwine_residual's rule, since only it knows N.
+    A mode with no built conjugator raises KeyError.
     """
     Z = tuple(f.freq)
     if Z not in conjugators:
@@ -389,44 +388,42 @@ def intertwine_residual(
     profile: CutoffProfile,
     test_functions: Sequence[TestFunction],
     points: tuple[np.ndarray, np.ndarray, np.ndarray],
-    N: int | None = None,
     strict: bool = True,
 ) -> IntertwineReport:
     """max over (f, p) of |Delta_{g1}(Qf)(p) - Q(Delta_{g2}f)(p)| / (1 + |Q(Delta_{g2}f)(p)|).
 
     points is a polar triple (x (P,m), r (P,k), theta (P,k)).  For isospectral
     pairs the residual sits at rounding level; for inequivalent spectra
-    (strict=False) it must be large.  Conjugators are built only for the
-    modes Q uses: each in-band f.freq and every live mode of a Delta_{g2} f.
+    (strict=False) it must be large.  The theta grid resolves the basket's
+    own band N = max f.band_limit, reported as band_limit.  Conjugators are
+    built only for the modes Q uses: each f.freq and every live mode of a
+    Delta_{g2} f.  An empty basket raises ValueError.
     """
+    if not test_functions:
+        raise ValueError("intertwine_residual: the basket of test functions is empty")
     x_pts, r_pts, theta_pts = (np.atleast_2d(np.asarray(a, dtype=float)) for a in points)
     cart = np.concatenate([x_pts, polar_to_cartesian(r_pts, theta_pts)], axis=1)
-    if N is None:
-        N = max(f.band_limit for f in test_functions)
+    # max keeps the first of equally wide functions
+    widest = max(test_functions, key=lambda f: f.band_limit)
+    N = widest.band_limit
     decomposed = _decompose(b2, profile, test_functions, x_pts, r_pts, N)
-    in_band = [f for f in test_functions if f.band_limit <= N]
-    modes = {tuple(f.freq) for f in in_band}.union(*(live for _live_pt, live in decomposed))
+    modes = {tuple(f.freq) for f in test_functions}.union(*(live for _live_pt, live in decomposed))
     conj = build_conjugators(b1, b2, sorted(modes), strict=strict)
-    lhs_rows = iter(laplacian(b1, profile, [apply_Q(conj, f) for f in in_band], cart))
+    lhs_rows = laplacian(b1, profile, [apply_Q(conj, f) for f in test_functions], cart)
     per_fn = []
-    for f, (live_pt, live) in zip(test_functions, decomposed):
-        # the truncated Q maps a mode beyond the band to zero, while the
-        # undersized theta grid aliases it on the transported side
-        lhs = next(lhs_rows) if f.band_limit <= N else 0.0
+    for f, lhs, (live_pt, live) in zip(test_functions, lhs_rows, decomposed):
         field = FourierField(lambda q: laplacian(b2, profile, [f], q)[0], N, b2.k)
         rhs = _transport(field, live_pt, live, conj, x_pts, r_pts, theta_pts)
         per_fn.append(float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
-    # max keeps the first of equally wide functions
-    widest = max(test_functions, key=lambda f: f.band_limit, default=None)
     return IntertwineReport(
-        max_residual=max(per_fn, default=0.0),
-        truncation_tail=0.0 if widest is None else _truncation_tail(b2, profile, widest, x_pts, r_pts, N),
+        max_residual=max(per_fn),
+        truncation_tail=_truncation_tail(b2, profile, widest, x_pts, r_pts, N),
         n_points=x_pts.shape[0],
         n_functions=len(test_functions),
         band_limit=N,
         per_function=tuple(per_fn),
-        residual_conj=max((c.residual_conj for c in conj.values()), default=0.0),
-        residual_orth=max((c.residual_orth for c in conj.values()), default=0.0),
+        residual_conj=max(c.residual_conj for c in conj.values()),
+        residual_orth=max(c.residual_orth for c in conj.values()),
         n_conjugators=len(conj),
     )
 

@@ -65,7 +65,6 @@ def test_parse_bad_value_has_line_and_field():
     ("quadrature.replicates", "1"),
     ("quadrature.seed", "-1"),
     ("quadrature.seed", "1.5"),
-    ("intertwine.band_limit", "-1"),
     ("intertwine.n_points", "0"),
     ("intertwine.n_functions", "0"),
     ("sweep.s_list", "1,2,nan,8,16"),
@@ -158,12 +157,12 @@ def test_cli_reads_each_bracket_file_once(tmp_path, monkeypatch):
 def test_config_hash_pinned():
     # sha256 of the sorted key=value lines, output.dir left out; criterion 9's config
     # is the one tests/test_acceptance.py runs
-    assert load_config(None).config_hash == "af6778ed80953455"
+    assert load_config(None).config_hash == "38d8fe21083f047c"
     criterion_9 = parse_config(
         "quadrature.nodes = 8192\nquadrature.replicates = 3\n"
         "intertwine.n_points = 4\nintertwine.n_functions = 2\nbracket2.builtin = cross2\n"
     )
-    assert criterion_9.config_hash == "99dc82d34b5614a5"
+    assert criterion_9.config_hash == "98b502fd1f51cb43"
 
 
 def test_config_hash_ignores_output_dir():
@@ -303,6 +302,8 @@ def test_cli_intertwine(tmp_path):
     for key in ("pair", "N", "n_points", "max_residual", "truncation_tail", "residual_conj", "residual_orth",
                 "n_conjugators"):
         assert key in rec
+    # the basket's own band: the five functions carry |Z|_inf <= 1
+    assert rec["N"] == 1
     assert rec["max_residual"] <= 1e-4
     # the conjugators' spectrum tolerance
     assert 0.0 < rec["residual_conj"] <= 1e-10

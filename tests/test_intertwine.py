@@ -218,37 +218,8 @@ def test_apply_q_identity_pair(cross1, rng):
     np.testing.assert_allclose(Qf(pts), TF(pts), atol=1e-12)
 
 
-def test_apply_q_out_of_band_is_zero(cross1, quaternion, reference_profile, monkeypatch, rng):
-    # the truncated Q maps a mode beyond the band to the zero function: only
-    # the in-band Qf reaches the first metric's Laplacian, and the residual of
-    # the out-of-band one is that of a zero left-hand side
-    in_band = itw.TestFunction(m=M, freq=(1, 0, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
-    lhs_functions, transported = [], []
-    laplacian, transport = itw.laplacian, itw._transport
-
-    def laplacian_spy(bracket, profile, functions, pts):
-        lhs_functions.extend(f for f in functions if isinstance(f, itw.RotatedFunction))
-        return laplacian(bracket, profile, functions, pts)
-
-    def transport_spy(*args):
-        transported.append(transport(*args))
-        return transported[-1]
-
-    monkeypatch.setattr(itw, "laplacian", laplacian_spy)
-    monkeypatch.setattr(itw, "_transport", transport_spy)
-    rep = itw.intertwine_residual(
-        cross1, quaternion, reference_profile, [in_band, TF], small_points(reference_profile, n=3), N=1
-    )
-    [Q_in] = lhs_functions
-    assert Q_in.base == in_band
-    assert np.any(Q_in(sample_points(rng)))
-    rhs = transported[1]
-    assert np.any(rhs)
-    assert rep.per_function[1] == float(np.max(np.abs(rhs) / (1.0 + np.abs(rhs))))
-
-
 def test_apply_q_requires_built_conjugator(cross1, quaternion):
-    # no silent zero: an in-band mode whose conjugator was not built is an error
+    # no silent zero: a mode whose conjugator was not built is an error
     conj = itw.build_conjugators(cross1, quaternion, [(0, 0, 0), (1, 0, 0)])
     assert set(conj) == {(0, 0, 0), (1, 0, 0)}
     with pytest.raises(KeyError, match="no conjugator"):
@@ -546,16 +517,19 @@ def test_inverse_metric_divergence_matches_fd(cross1, cross2, quaternion, refere
 
 
 def test_intertwine_band_refinement(cross1, quaternion, reference_profile, conjugator_calls):
-    # truncating below the band limit loses a live mode; widening to the band
-    # limit restores the identity
+    # a theta grid below the band aliases a live mode: at N = 1 the band-2 mode
+    # (2, 0, 0) reads as (-1, 0, 0); at the function's own band it is resolved
     f = itw.TestFunction(m=M, freq=(2, 0, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
     pts = small_points(reference_profile, n=3)
-    rep_narrow = itw.intertwine_residual(cross1, quaternion, reference_profile, [f], pts, N=1)
-    rep_full = itw.intertwine_residual(cross1, quaternion, reference_profile, [f], pts, N=2)
-    assert rep_full.max_residual <= 1e-12
-    assert rep_narrow.max_residual > 1e3 * rep_full.max_residual
-    # at N = 1 the mode aliases onto (-1, 0, 0), which gets its conjugator
-    assert conjugator_calls == [(-1, 0, 0), (2, 0, 0)]
+    x, r, _theta = pts
+    [(live_pt, live)] = itw._decompose(quaternion, reference_profile, [f], x, r, 1)
+    assert live_pt.size == 3 and set(live) == {(-1, 0, 0)}
+    [(live_pt, live)] = itw._decompose(quaternion, reference_profile, [f], x, r, 2)
+    assert live_pt.size == 3 and set(live) == {(2, 0, 0)}
+    rep = itw.intertwine_residual(cross1, quaternion, reference_profile, [f], pts)
+    assert rep.band_limit == 2
+    assert rep.max_residual <= 1e-12
+    assert conjugator_calls == [(2, 0, 0)]
 
 
 @pytest.fixture
@@ -597,12 +571,46 @@ def test_truncation_tail_matches_per_mode_sums(quaternion, reference_profile, n_
     assert itw._truncation_tail(quaternion, reference_profile, f, x, r, 2) == want
 
 
-def test_intertwine_tail_on_widest_function(cross1, quaternion, reference_profile):
-    # the tail is measured once per pair, on the widest-band function even
-    # when it comes after a narrower one: at N = 1 a band-2 mode is all tail
+def test_intertwine_tail_on_widest_function(cross1, quaternion, reference_profile, monkeypatch):
+    # below its band a band-2 mode is all tail, and the tail is measured once
+    # per pair, on the widest-band function even when it comes after narrower ones
     narrow = itw.TestFunction(m=M, freq=(1, 0, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
     wide = itw.TestFunction(m=M, freq=(0, 2, 0), x_bump_rsq=1.3, u_bump_rsq=1.3)
     pts = small_points(reference_profile, n=3)
-    rep = itw.intertwine_residual(cross1, quaternion, reference_profile, [narrow, narrow, wide], pts, N=1)
-    assert rep.truncation_tail > 0.1
-    assert itw.intertwine_residual(cross1, quaternion, reference_profile, [narrow], pts, N=1).truncation_tail <= 1e-12
+    x, r, _theta = pts
+    assert itw._truncation_tail(quaternion, reference_profile, wide, x, r, 1) > 0.1
+    assert itw._truncation_tail(quaternion, reference_profile, narrow, x, r, 1) <= 1e-12
+    measured = []
+    truncation_tail = itw._truncation_tail
+
+    def tail_spy(b2, profile, f, x_pts, r_pts, N):
+        measured.append((f, N))
+        return truncation_tail(b2, profile, f, x_pts, r_pts, N)
+
+    monkeypatch.setattr(itw, "_truncation_tail", tail_spy)
+    rep = itw.intertwine_residual(cross1, quaternion, reference_profile, [narrow, narrow, wide], pts)
+    assert measured == [(wide, 2)]
+    assert rep.truncation_tail <= 1e-12
+
+
+@pytest.mark.parametrize("n_functions, band", [(1, 0), (5, 1), (8, 2)])
+def test_intertwine_runs_at_the_basket_band(cross1, quaternion, reference_profile, monkeypatch, n_functions, band):
+    # N is the basket's widest band, and no Laplacian call comes without a function
+    fns = itw.default_test_functions(M, K, reference_profile)[:n_functions]
+    sizes = []
+    laplacian = itw.laplacian
+
+    def laplacian_spy(bracket, profile, functions, pts):
+        sizes.append(len(functions))
+        return laplacian(bracket, profile, functions, pts)
+
+    monkeypatch.setattr(itw, "laplacian", laplacian_spy)
+    rep = itw.intertwine_residual(cross1, quaternion, reference_profile, fns, small_points(reference_profile, n=3))
+    assert rep.band_limit == band
+    assert sizes and min(sizes) >= 1
+    assert rep.max_residual <= 1e-12
+
+
+def test_intertwine_rejects_an_empty_basket(cross1, quaternion, reference_profile):
+    with pytest.raises(ValueError, match="basket of test functions is empty"):
+        itw.intertwine_residual(cross1, quaternion, reference_profile, [], small_points(reference_profile, n=3))
