@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .brackets import Bracket
-from .metric import CutoffProfile, bump_and_derivs, metric_at
+from .metric import CutoffProfile, metric_at
 
 __all__ = [
     "FDScheme",

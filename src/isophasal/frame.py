@@ -80,7 +80,8 @@ a handful of matrix-vector products per plane: O(k (m+k)^2) work a point
 besides the k^2 products M_pq, where dF held k (m+k)^3 entries.
 
 What is materialised on the quadrature path (curvature_scalars, a2_integrand),
-per batch of at most _ENGINE_CHUNK points:
+in one batch of the points each call is given (the quadrature passes one
+slice's admitted nodes), about 18 KB a point at (m, k) = (6, 3):
   - phi's y-jet: g (N, m+k) and H (N, m+k, m+k);
   - ell_q, H ell_q and Lambda_q g, each (N, k, m+k), and Lambda (k, m+k, m+k);
   - one workspace holding F and its scratch, each (N, k, m+k, m+k), the
@@ -133,7 +134,6 @@ __all__ = [
 ]
 
 R_MIN_FACTOR = 1e-6  # radii below R_MIN_FACTOR * (r-support radius) are degenerate
-_ENGINE_CHUNK = 128  # points per batch of curvature_scalars: bounds the engine's working set
 
 
 class DegeneratePointError(ValueError):
@@ -461,19 +461,11 @@ def curvature_scalars(
     x: np.ndarray,
     r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau, |Ric|^2, |Riem|^2) at each point, in batches of _ENGINE_CHUNK points to bound memory."""
+    """(tau, |Ric|^2, |Riem|^2) at each point, in one batch: about 18 KB of workspace a point at (6, 3)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     _check_radii(profile, r)
-    npts = x.shape[0]
-    tau = np.empty(npts)
-    ric2 = np.empty(npts)
-    riem2 = np.empty(npts)
-    for lo in range(0, npts, _ENGINE_CHUNK):
-        hi = min(lo + _ENGINE_CHUNK, npts)
-        jets = _jets(bracket, profile, x[lo:hi], r[lo:hi])
-        tau[lo:hi], ric2[lo:hi], riem2[lo:hi] = _batch_scalars(jets, r[lo:hi])
-    return tau, ric2, riem2
+    return _batch_scalars(_jets(bracket, profile, x, r), r)
 
 
 def _admitted_density(
@@ -505,8 +497,9 @@ def a2_integrand(
 
     Points outside the cutoff support, where the curvature vanishes, and
     points with a plane radius at or below the frame's floor contribute an
-    exact zero and skip the engine entirely.  A negative plane radius is not
-    a point of the polar chart and raises ValueError.
+    exact zero and skip the engine entirely; the admitted points reach it in
+    one batch, about 18 KB of workspace a point at (6, 3).  A negative plane
+    radius is not a point of the polar chart and raises ValueError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))

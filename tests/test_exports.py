@@ -39,3 +39,18 @@ def test_test_imports_are_declared():
     third_party = imported - local - set(sys.stdlib_module_names)
     assert third_party >= {"numpy", "pytest"}
     assert not third_party - declared, f"imported by the tests but not declared: {sorted(third_party - declared)}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda mod: mod.__name__)
+def test_imported_names_are_used(module):
+    # a name a module imports is read in that module or re-exported through its __all__
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported - used - set(getattr(module, "__all__", ()))
+    assert not unused, f"{module.__name__} imports names it never uses: {sorted(unused)}"

@@ -215,19 +215,17 @@ PAIR_FORM_BRACKETS = {
 
 @pytest.mark.parametrize("scale", [1.0, 16.0])
 @pytest.mark.parametrize("name", list(PAIR_FORM_BRACKETS))
-def test_pair_form_scalars_match_dense_reference(name, scale, reference_profile, monkeypatch):
+def test_pair_form_scalars_match_dense_reference(name, scale, reference_profile):
     bracket = PAIR_FORM_BRACKETS[name]()
     profile = reference_profile.scaled(scale)
     rng = np.random.default_rng(11)
     x, r = interior_points(rng, 20, bracket.m, bracket.k)
     r = r / scale  # the r-support shrinks with the scale
     ref = dense_scalars_reference(bracket, profile, x, r)
-    for chunk in (1, 7, 128):
-        monkeypatch.setattr(frame, "_ENGINE_CHUNK", chunk)
-        got = frame.curvature_scalars(bracket, profile, x, r)
-        for label, g, want in zip(("tau", "|Ric|^2", "|Riem|^2"), got, ref):
-            rel = np.max(np.abs(g - want)) / np.max(np.abs(want))
-            assert rel <= 1e-13, (label, chunk, rel)
+    got = frame.curvature_scalars(bracket, profile, x, r)
+    for label, g, want in zip(("tau", "|Ric|^2", "|Riem|^2"), got, ref):
+        rel = np.max(np.abs(g - want)) / np.max(np.abs(want))
+        assert rel <= 1e-13, (label, rel)
 
 
 # Frame types in index order: xhat (m of them), rhat (k), that (k).
@@ -266,7 +264,7 @@ def test_frame_tensors_vanish_off_their_type_blocks(m, k, reference_profile):
 
 
 @pytest.mark.parametrize("scale", [1.0, 16.0])
-def test_zero_bracket_pair_form_flat(zero_bracket, reference_profile, scale, monkeypatch):
+def test_zero_bracket_pair_form_flat(zero_bracket, reference_profile, scale):
     rng = np.random.default_rng(5)
     profile = reference_profile.scaled(scale)
     x = rng.uniform(-0.8, 0.8, size=(50, M))
@@ -278,7 +276,6 @@ def test_zero_bracket_pair_form_flat(zero_bracket, reference_profile, scale, mon
     assert np.max(np.abs(Riem)) <= rounding
     assert np.max(np.abs(Ric)) <= rounding
     # the closed forms hold no polar term: F = 0 gives exact zeros
-    monkeypatch.setattr(frame, "_ENGINE_CHUNK", 7)
     for scalar in frame.curvature_scalars(zero_bracket, profile, x, r):
         assert scalar.tolist() == [0.0] * len(x)
 
@@ -333,13 +330,13 @@ def _scalars_in_calls(bracket, profile, x, r, sizes):
 @pytest.mark.parametrize("scale", [1.0, 16.0])
 @pytest.mark.parametrize("name", ["quaternion", "random-5-2", "random-6-3", "random-7-3"])
 def test_engine_values_independent_of_batching(name, scale, reference_profile):
-    # how points are grouped into engine calls and batches must not move a bit:
-    # 1-point calls, uneven splits around _ENGINE_CHUNK and a permuted batch
-    # against one call, so any regrouping of the quadrature's work is free
+    # how points are grouped into engine calls must not move a bit: 1-point
+    # calls, uneven splits up to a sweep slice's admitted count (195) and a
+    # permuted batch against one call, so any regrouping of the quadrature's
+    # work is free
     bracket = PAIR_FORM_BRACKETS[name]()
     profile = reference_profile.scaled(scale)
-    chunk = frame._ENGINE_CHUNK
-    splits = (1, chunk - 1, chunk, chunk + 1)
+    splits = (1, 127, 128, 129, 195)
     n = sum(splits)
     rng = np.random.default_rng(3)
     x, r = interior_points(rng, n, bracket.m, bracket.k)
@@ -355,7 +352,7 @@ def test_engine_values_independent_of_batching(name, scale, reference_profile):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap and trim thresholds")
 def test_curvature_scalars_reuses_its_pages_in_process():
     # under glibc's default thresholds, separate arrays for F, its scratch and M fault their
-    # pages in afresh on every call; one workspace per batch does not
+    # pages in afresh on every call; one workspace per call does not
     code = textwrap.dedent("""
         import resource
         import numpy as np

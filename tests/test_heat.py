@@ -218,6 +218,32 @@ def test_worker_count_invariance(cross1, reference_profile, monkeypatch, opened_
     _same_result(r1, r2)
 
 
+def test_each_slice_reaches_the_engine_in_one_call(cross1, reference_profile, monkeypatch):
+    # the slice is the only grain: its admitted nodes, more than 128 here, go to the engine at once
+    spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK)
+    batches = []
+    slices = []
+    batch_scalars = frame._batch_scalars
+    slice_contributions = heat._slice_contributions
+
+    def batch_spy(jets, r):
+        batches.append(r.shape[0])
+        return batch_scalars(jets, r)
+
+    def slice_spy(task):
+        start = len(batches)
+        contrib, admitted = slice_contributions(task)
+        slices.append((admitted, batches[start:]))
+        return contrib, admitted
+
+    monkeypatch.setattr(frame, "_batch_scalars", batch_spy)
+    monkeypatch.setattr(heat, "_slice_contributions", slice_spy)
+    heat._integrate_profiles(cross1, [reference_profile], spec)
+    assert len(slices) == 2 * spec.n_replicates
+    assert all(admitted > 128 for admitted, _ in slices)
+    assert all(calls == [admitted] for admitted, calls in slices)
+
+
 SCALES = [1.0, 2.0, 4.0, 8.0, 16.0]
 
 
@@ -299,8 +325,9 @@ def _engine_minor_faults(args):
 def test_pool_workers_reuse_their_heap(cross1, reference_profile):
     # pool workers run under glibc's default dynamic thresholds, which handed
     # each batch back to the OS when the engine's batch arrays were separate,
-    # about 6 faults per point and pass; the engine's one workspace per batch
-    # keeps the workers' pages mapped, near 10 faults for these 3 passes
+    # about 6 faults per point and pass; the engine's one workspace per call
+    # (here one 1 000-point batch a pass) keeps the workers' pages mapped,
+    # 3-5 faults for these 3 passes
     x, r = _support_points(reference_profile, 1000)
     with heat._node_pool(10 * heat._TASK_CHUNK, 2) as pool:
         faults = pool.submit(_engine_minor_faults, (cross1.tensor, reference_profile, x, r)).result()
