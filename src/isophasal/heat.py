@@ -23,22 +23,21 @@ the cutoff support, every plane radius above the frame's floor); the others
 contribute an exact zero, the same rule as frame.a2_integrand.
 
 One call integrates one bracket over a list of profiles (one for
-integrate_a2, one per scale for sweep_s) as a single ordered stream of slice
-tasks.  Every preflight runs first.  Each replicate is cut into fixed slices
-of _TASK_CHUNK nodes; the calling process draws only each replicate's
-scramble (shift and direction columns, shared by all profiles), and the task
-draws its own slice of nodes from it, wherever it runs.  The stream runs in
-this process when there is one worker or a replicate is a single slice,
-else on one fork-context ProcessPoolExecutor whose ordered map returns the
-slices in stream order.  The polar weight is applied per node in the task,
-each replicate's slices are concatenated, and the reduction is a fixed-order
-pairwise sum over node index, so results are bit-identical for any worker
-count, which resolve_workers alone decides.  The executor, not
-multiprocessing.Pool, feeds the stream: Pool's worker-handler thread counts
-the result pipe among the handles it waits on, so it spins while a result
-sits unread, which cost about 0.4 s of the calling process's CPU per
-benchmark sweep on 2 vCPUs; the executor's manager thread blocks until a
-worker answers.
+integrate_a2, one per scale for sweep_s) as a single ordered stream of
+(profile, replicate) tasks.  Every preflight runs first.  The calling process
+draws only each replicate's scramble (shift and direction columns, shared by
+all profiles); the task draws the replicate's nodes from it in fixed slices
+of _TASK_CHUNK nodes, wherever it runs, and returns only the replicate's
+weighted sum and admitted count.  The stream runs in this process when there
+is one worker or a replicate is a single slice, else on one fork-context
+ProcessPoolExecutor whose ordered map returns the replicates in stream order.
+The sum is a fixed-order pairwise sum over node index, so results are
+bit-identical for any worker count, which resolve_workers alone decides.  The
+executor, not multiprocessing.Pool, feeds the stream: Pool's worker-handler
+thread counts the result pipe among the handles it waits on, so it spins
+while a result sits unread, which cost about 0.4 s of the calling process's
+CPU per benchmark sweep on 2 vCPUs; the executor's manager thread blocks
+until a worker answers.
 
 The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over SWEEP_DEGREES,
 on finite positive scales (at least five distinct, spanning at least 4x); the
@@ -95,7 +94,6 @@ _PREFLIGHT_SEED = 2024
 # Nodes in one slice of a replicate (fixed: determinism; a power of two: _fill_nodes), also the engine's
 # one grain: one call holds a slice's admitted nodes, at most 195 (about 3.5 MB) on the benchmark sweep
 _TASK_CHUNK = 4096
-_STREAM_CHUNKSIZE = 4  # slice tasks per pickled batch on the pool's map; at 1 the sweep's wall time rose ~15%
 _CONSISTENCY_SIGMAS = 3.0  # isophasal_consistency's bound on |difference| / combined error
 _SOBOL_BITS = 30  # bits per Sobol' coordinate; a replicate holds at most 2**30 nodes
 # Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008) for the
@@ -196,7 +194,7 @@ class QuadratureResult:
     n_replicates: int
     seed: int
     inside_fraction: float  # mean of replicate_inside_fractions
-    # seconds from the start of the call (preflights included) until this profile's last slice
+    # seconds from the start of the call (preflights included) until this profile's last replicate
     # came back; profiles sharing one stream (sweep_s) read cumulative times.  Never in artifacts.
     wall_time: float
     replicate_values: tuple[float, ...]
@@ -315,27 +313,33 @@ def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
     return _fill_nodes(*_scramble(spec, replicate, dim), 0, spec.n_nodes)
 
 
-def _slice_contributions(task) -> tuple[np.ndarray, int]:
-    """One slice's weighted a2 density dens * (2 pi)^k * prod_p r_p and its admitted count.
+def _replicate_sum(task) -> tuple[float, int]:
+    """One replicate's sum of the weighted a2 density dens * (2 pi)^k * prod_p r_p, and its admitted count.
 
-    task is (bracket, profile, shift, directions, lo, hi), one argument so
-    that map and the executor's map both call it.  The slice's nodes lo..hi-1
-    are drawn here from the replicate's scramble and mapped onto the
-    profile's (x, r) box.  Nodes frame._admitted_density does not admit are
-    exact zeros, and stay zero under the nonnegative polar weight.
+    task is (bracket, profile, shift, directions, n_nodes), one argument so
+    that map and the executor's map both call it.  The nodes are drawn here
+    from the scramble one slice of _TASK_CHUNK at a time, mapped onto the
+    profile's (x, r) box, and passed to frame._admitted_density, whose
+    unadmitted nodes are exact zeros and stay zero under the nonnegative
+    polar weight.  The sum is a fixed-order pairwise sum over node index.
     """
-    bracket, profile, shift, directions, lo, hi = task
-    box = _fill_nodes(shift, directions, lo, hi)
+    bracket, profile, shift, directions, n_nodes = task
     m = bracket.m
-    x = (2.0 * box[:, :m] - 1.0) * profile.x_radius
-    r = box[:, m:] * profile.u_radius
-    dens, keep = frame._admitted_density(bracket, profile, x, r)
-    return dens * (2.0 * math.pi) ** bracket.k * np.prod(r, axis=1), int(np.count_nonzero(keep))
+    contribs = []
+    admitted = 0
+    for lo in range(0, n_nodes, _TASK_CHUNK):
+        box = _fill_nodes(shift, directions, lo, min(lo + _TASK_CHUNK, n_nodes))
+        x = (2.0 * box[:, :m] - 1.0) * profile.x_radius
+        r = box[:, m:] * profile.u_radius
+        dens, keep = frame._admitted_density(bracket, profile, x, r)
+        contribs.append(dens * (2.0 * math.pi) ** bracket.k * np.prod(r, axis=1))
+        admitted += int(np.count_nonzero(keep))
+    return float(np.sum(np.concatenate(contribs))), admitted
 
 
 @contextlib.contextmanager
 def _node_pool(n_nodes: int, workers: int):
-    """One fork-context process pool for every slice of an integration's stream, or None in process.
+    """One fork-context process pool for every task of an integration's stream, or None in process.
 
     In process when there is one worker or a replicate of n_nodes is a
     single slice.  On leaving, queued tasks are cancelled (there are some
@@ -398,12 +402,10 @@ def preflight_theta_invariance(bracket: Bracket, profile: CutoffProfile) -> floa
 def _integrate_profiles(
     bracket: Bracket, profiles: Sequence[CutoffProfile], spec: QuadratureSpec
 ) -> list[QuadratureResult]:
-    """integrate_a2 of one bracket for each profile, under one spec, as one ordered stream of slices.
+    """integrate_a2 of one bracket for each profile, under one spec, as one ordered stream of replicates.
 
-    Every preflight runs before any slice.  The tasks run profile by
-    profile, replicate by replicate, slice by slice, on one pool at most
-    (see the module docstring); all profiles share the replicates' nodes in
-    the unit box.
+    Every preflight runs before any task, and the tasks run profile by profile, replicate by replicate, on
+    one pool at most (see the module docstring); all profiles share the replicates' nodes in the unit box.
     """
     t_start = time.perf_counter()
     m, k = bracket.m, bracket.k
@@ -414,30 +416,21 @@ def _integrate_profiles(
     workers = resolve_workers()
     deviations = [preflight_theta_invariance(bracket, p) if spec.preflight else None for p in profiles]
     scrambles = [_scramble(spec, rep, m + k) for rep in range(spec.n_replicates)]
-    bounds = [(lo, min(lo + _TASK_CHUNK, spec.n_nodes)) for lo in range(0, spec.n_nodes, _TASK_CHUNK)]
     tasks = (
-        (bracket, profile, shift, directions, lo, hi)
+        (bracket, profile, shift, directions, spec.n_nodes)
         for profile in profiles
         for shift, directions in scrambles
-        for lo, hi in bounds
     )
     results = []
     with _node_pool(spec.n_nodes, workers) as pool:
-        if pool is None:
-            stream = map(_slice_contributions, tasks)
-        else:
-            stream = pool.map(_slice_contributions, tasks, chunksize=_STREAM_CHUNKSIZE)
+        stream = map(_replicate_sum, tasks) if pool is None else pool.map(_replicate_sum, tasks)
         for profile, deviation in zip(profiles, deviations):
             vol_box = (2.0 * profile.x_radius) ** m * profile.u_radius**k
-            rep_values = []
-            inside_fracs = []
-            for _ in scrambles:
-                contrib, usable = zip(*itertools.islice(stream, len(bounds)))
-                inside_fracs.append(sum(usable) / spec.n_nodes)
-                rep_values.append(vol_box * float(np.sum(np.concatenate(contrib))) / spec.n_nodes)
+            totals, usable = zip(*itertools.islice(stream, spec.n_replicates))
+            inside_fracs = [count / spec.n_nodes for count in usable]
             if max(inside_fracs) == 0.0:
                 raise DegenerateNodesError("no quadrature nodes hit the integrand support")
-            rep_values = np.asarray(rep_values)
+            rep_values = np.asarray([vol_box * total / spec.n_nodes for total in totals])
             results.append(QuadratureResult(
                 value=float(np.mean(rep_values)),
                 std_error=float(np.std(rep_values, ddof=1) / math.sqrt(spec.n_replicates)),
@@ -558,7 +551,7 @@ def sweep_s(
     effective node density in the support is scale independent.  With
     spec.preflight set, every scaled profile is certified before any is
     integrated, since each is a different metric.  All scales share one
-    stream of slice tasks and at most one pool.  Bad scales raise ValueError first.
+    stream of replicate tasks and at most one pool.  Bad scales raise ValueError first.
     """
     s_arr = _scale_list(s_list)
     results = _integrate_profiles(bracket, [profile.scaled(s) for s in s_arr], spec)

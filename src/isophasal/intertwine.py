@@ -36,6 +36,7 @@ fiber it needs in a fixed handful of batched Laplacian calls per function.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -65,6 +66,11 @@ _LIVE_RTOL = 1e-9  # a mode is live where |coefficient| exceeds this fraction of
 _TAIL_FIBERS = 3  # fibers on which the truncation tail is measured
 
 
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Product over the last axis, one elementwise multiply per factor: a row rounds alike in any batch."""
+    return functools.reduce(np.multiply, np.moveaxis(a, -1, 0))
+
+
 def _monomial(z: np.ndarray, powers: Sequence[int]):
     """Value, gradient, Hessian of prod_i z_i^e_i, batched over real or complex z (N, m).
 
@@ -83,10 +89,10 @@ def _monomial(z: np.ndarray, powers: Sequence[int]):
     d = np.eye(live.size, dtype=int)
     j = np.arange(live.size)
     table = z[:, live, None] ** np.arange(e.max() + 1)  # (N, L, e_max + 1)
-    grad[:, live] = e * np.prod(table[:, j, e - d], axis=2)
-    second = np.prod(table[:, j, np.maximum(e - d[:, None] - d, 0)], axis=3)
+    grad[:, live] = e * _fold(table[:, j, e - d])
+    second = _fold(table[:, j, np.maximum(e - d[:, None] - d, 0)])
     hess[:, live[:, None], live] = e[:, None] * (e - d) * second
-    return np.prod(table[:, j, e], axis=1), grad, hess
+    return _fold(table[:, j, e]), grad, hess
 
 
 def _envelope(y: np.ndarray, rsq: float | None):

@@ -1,4 +1,5 @@
-"""Every name in each module's __all__ resolves, once; every module the tests import is installable."""
+"""Every name in each module's __all__ resolves, once; every module the tests import is installable;
+every name a module imports or defines is read."""
 
 import ast
 import importlib
@@ -54,3 +55,29 @@ def test_imported_names_are_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - set(getattr(module, "__all__", ()))
     assert not unused, f"{module.__name__} imports names it never uses: {sorted(unused)}"
+
+
+def test_module_names_are_read():
+    # every name a package module defines at top level is read (a Name load or an attribute)
+    # somewhere in src/ or tests/, so a constant or helper left behind by a refactor shows
+    root = Path(__file__).resolve().parent.parent
+    read = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module in MODULES:
+        for stmt in ast.parse(Path(module.__file__).read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+            else:
+                continue
+            unread += [f"{module.__name__}.{name}" for name in defined
+                       if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    assert not unread, f"defined but never read in src/ or tests/: {unread}"

@@ -219,29 +219,47 @@ def test_worker_count_invariance(cross1, reference_profile, monkeypatch, opened_
 
 
 def test_each_slice_reaches_the_engine_in_one_call(cross1, reference_profile, monkeypatch):
-    # the slice is the only grain: its admitted nodes, more than 128 here, go to the engine at once
+    # the slice is the engine's grain: its admitted nodes, more than 128 here, go to the engine at once
     spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK)
     batches = []
     slices = []
     batch_scalars = frame._batch_scalars
-    slice_contributions = heat._slice_contributions
+    admitted_density = frame._admitted_density
 
     def batch_spy(jets, r):
         batches.append(r.shape[0])
         return batch_scalars(jets, r)
 
-    def slice_spy(task):
+    def slice_spy(bracket, profile, x, r):
         start = len(batches)
-        contrib, admitted = slice_contributions(task)
-        slices.append((admitted, batches[start:]))
-        return contrib, admitted
+        dens, keep = admitted_density(bracket, profile, x, r)
+        slices.append((int(np.count_nonzero(keep)), batches[start:]))
+        return dens, keep
 
     monkeypatch.setattr(frame, "_batch_scalars", batch_spy)
-    monkeypatch.setattr(heat, "_slice_contributions", slice_spy)
+    monkeypatch.setattr(frame, "_admitted_density", slice_spy)
     heat._integrate_profiles(cross1, [reference_profile], spec)
     assert len(slices) == 2 * spec.n_replicates
     assert all(admitted > 128 for admitted, _ in slices)
     assert all(calls == [admitted] for admitted, calls in slices)
+
+
+def test_one_task_per_profile_and_replicate(cross1, reference_profile, monkeypatch):
+    # the replicate is the task: it sums its three slices and returns one (sum, admitted count) pair
+    spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808)
+    returned = []
+    replicate_sum = heat._replicate_sum
+
+    def spy(task):
+        returned.append(replicate_sum(task))
+        return returned[-1]
+
+    monkeypatch.setattr(heat, "_replicate_sum", spy)
+    results = heat._integrate_profiles(cross1, [reference_profile, reference_profile.scaled(2.0)], spec)
+    assert len(returned) == 2 * spec.n_replicates
+    assert all(type(total) is float and type(admitted) is int for total, admitted in returned)
+    fractions = [admitted / spec.n_nodes for _, admitted in returned]
+    assert [f for res in results for f in res.replicate_inside_fractions] == fractions
 
 
 SCALES = [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -286,9 +304,9 @@ def test_sweep_error_cancels_the_stream(cross1, reference_profile, monkeypatch, 
     assert opened_pools == [2]
     calls = [float(line) for line in log.read_text().split()]
     assert calls.count(1.0) == calls.count(2.0) == 24
-    # the queued tasks of the last two scales (48) were cancelled: only the
-    # batches already handed to the workers ran (CPython 3.11: 2 running and
-    # 3 queued, 5 * 4 = 20 slices at 0.1 s each)
+    # the queued tasks of the last two scales (48 slices) were cancelled: only
+    # the replicate tasks already handed to the workers ran (CPython 3.11: 2
+    # running and 3 queued, 5 tasks of 3 slices each at 0.1 s a slice)
     assert len(calls) - 48 < 24
     assert multiprocessing.active_children() == []
 

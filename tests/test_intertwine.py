@@ -424,21 +424,25 @@ def test_laplacian_rows_match_one_function_calls(cross1, quaternion, reference_p
 
 
 def test_fiber_order_does_not_change_jets_or_laplacian(cross1, reference_profile):
-    # x factor jets evaluated once per fiber equal those evaluated point by
-    # point, and the Laplacian is the same on the points interleaved (no two
-    # consecutive rows share x), bitwise; the u factor's matrix products may
-    # round differently in one-row batches, so only the x factor goes point by point
+    # factor jets, the x factor's evaluated once per fiber, equal those
+    # evaluated point by point, and the Laplacian is the same on the points
+    # interleaved (no two consecutive rows share x) and split into calls of
+    # 1, 2 or 7 points, bitwise
     pts = fiber_points(reference_profile)
     pts[:, : M - 1] = pts[0, : M - 1]  # fibers differ in their last x coordinate only
     fns = itw.default_test_functions(M, K, reference_profile)
     for fn in fns:
-        by_point = [fn.factor_jets(p[None])[0] for p in pts]
-        for j, a in enumerate(fn.factor_jets(pts)[0]):
-            np.testing.assert_array_equal(a, np.concatenate([jets[j] for jets in by_point]))
+        by_point = [fn.factor_jets(p[None]) for p in pts]
+        for i, factor in enumerate(fn.factor_jets(pts)):
+            for j, a in enumerate(factor):
+                np.testing.assert_array_equal(a, np.concatenate([jets[i][j] for jets in by_point]))
     perm = np.arange(pts.shape[0]).reshape(5, -1).T.ravel()
     assert np.all(np.any(pts[perm][1:, :M] != pts[perm][:-1, :M], axis=1))
     lap = itw.laplacian(cross1, reference_profile, fns, pts)
     np.testing.assert_array_equal(lap[:, perm], itw.laplacian(cross1, reference_profile, fns, pts[perm]))
+    for split in (1, 2, 7):
+        parts = [itw.laplacian(cross1, reference_profile, fns, pts[lo : lo + split]) for lo in range(0, len(pts), split)]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), lap)
 
 
 # --- intertwining -------------------------------------------------------------------
