@@ -23,21 +23,20 @@ the cutoff support, every plane radius above the frame's floor); the others
 contribute an exact zero, the same rule as frame.a2_integrand.
 
 One call integrates one bracket over a list of profiles (one for
-integrate_a2, one per scale for sweep_s) as a single ordered stream of
-(profile, replicate) tasks.  Every preflight runs first.  The calling process
-draws only each replicate's scramble (shift and direction columns, shared by
-all profiles); the task draws the replicate's nodes from it in fixed slices
-of _TASK_CHUNK nodes, wherever it runs, and returns only the replicate's
-weighted sum and admitted count.  The stream runs in this process when there
-is one worker or a replicate is a single slice, else on one fork-context
-ProcessPoolExecutor whose ordered map returns the replicates in stream order.
-The sum is a fixed-order pairwise sum over node index, so results are
-bit-identical for any worker count, which resolve_workers alone decides.  The
-executor, not multiprocessing.Pool, feeds the stream: Pool's worker-handler
-thread counts the result pipe among the handles it waits on, so it spins
-while a result sits unread, which cost about 0.4 s of the calling process's
-CPU per benchmark sweep on 2 vCPUs; the executor's manager thread blocks
-until a worker answers.
+integrate_a2, one per scale for sweep_s) as a single ordered stream of tasks,
+profile by profile and replicate by replicate, after every preflight.  The
+calling process draws only each replicate's scramble (shared by the
+profiles); a task draws its nodes from it in slices of _TASK_CHUNK.  A task is
+a whole replicate and returns the replicate's weighted sum and admitted count,
+unless too few replicates would leave workers idle: each replicate is then cut
+into the fewest runs of slices that reach the least makespan, and the parts
+return their densities for the calling process to sum.  Either way the sum is
+a fixed-order pairwise sum over node index, so results are bit-identical for
+any worker count, which resolve_workers alone decides.  The stream runs in
+this process when there is one worker or a replicate is a single slice, else
+on one fork-context ProcessPoolExecutor, whose ordered map returns the results
+in stream order and whose manager thread, unlike multiprocessing.Pool's worker
+handler, does not spin while a result sits unread.
 
 The scale sweep fits a2(g^s) against sum_d c_d s^(d - 2k) over SWEEP_DEGREES,
 on finite positive scales (at least five distinct, spanning at least 4x); the
@@ -313,28 +312,28 @@ def _sample_box(spec: QuadratureSpec, replicate: int, dim: int) -> np.ndarray:
     return _fill_nodes(*_scramble(spec, replicate, dim), 0, spec.n_nodes)
 
 
-def _replicate_sum(task) -> tuple[float, int]:
-    """One replicate's sum of the weighted a2 density dens * (2 pi)^k * prod_p r_p, and its admitted count.
+def _replicate_sum(task) -> tuple[float | np.ndarray, int]:
+    """Weighted a2 density dens * (2 pi)^k * prod_p r_p at a replicate's nodes lo..hi-1, and the admitted count.
 
-    task is (bracket, profile, shift, directions, n_nodes), one argument so
-    that map and the executor's map both call it.  The nodes are drawn here
-    from the scramble one slice of _TASK_CHUNK at a time, mapped onto the
-    profile's (x, r) box, and passed to frame._admitted_density, whose
-    unadmitted nodes are exact zeros and stay zero under the nonnegative
-    polar weight.  The sum is a fixed-order pairwise sum over node index.
+    task is (bracket, profile, shift, directions, lo, hi, whole), one argument
+    for map and the executor's map alike.  Each slice of _TASK_CHUNK nodes,
+    drawn from the scramble and mapped onto the profile's (x, r) box, is one
+    frame._admitted_density call; unadmitted nodes are exact zeros.  A whole
+    replicate returns its pairwise sum over node index, a part its densities.
     """
-    bracket, profile, shift, directions, n_nodes = task
+    bracket, profile, shift, directions, lo, hi, whole = task
     m = bracket.m
     contribs = []
     admitted = 0
-    for lo in range(0, n_nodes, _TASK_CHUNK):
-        box = _fill_nodes(shift, directions, lo, min(lo + _TASK_CHUNK, n_nodes))
+    for start in range(lo, hi, _TASK_CHUNK):
+        box = _fill_nodes(shift, directions, start, min(start + _TASK_CHUNK, hi))
         x = (2.0 * box[:, :m] - 1.0) * profile.x_radius
         r = box[:, m:] * profile.u_radius
         dens, keep = frame._admitted_density(bracket, profile, x, r)
         contribs.append(dens * (2.0 * math.pi) ** bracket.k * np.prod(r, axis=1))
         admitted += int(np.count_nonzero(keep))
-    return float(np.sum(np.concatenate(contribs))), admitted
+    dens = np.concatenate(contribs)
+    return (float(np.sum(dens)) if whole else dens), admitted
 
 
 @contextlib.contextmanager
@@ -402,10 +401,9 @@ def preflight_theta_invariance(bracket: Bracket, profile: CutoffProfile) -> floa
 def _integrate_profiles(
     bracket: Bracket, profiles: Sequence[CutoffProfile], spec: QuadratureSpec
 ) -> list[QuadratureResult]:
-    """integrate_a2 of one bracket for each profile, under one spec, as one ordered stream of replicates.
+    """integrate_a2 of one bracket for each profile under one spec: one ordered task stream, one pool at most.
 
-    Every preflight runs before any task, and the tasks run profile by profile, replicate by replicate, on
-    one pool at most (see the module docstring); all profiles share the replicates' nodes in the unit box.
+    The stream is the module docstring's; all profiles share the replicates' nodes in the unit box.
     """
     t_start = time.perf_counter()
     m, k = bracket.m, bracket.k
@@ -416,18 +414,20 @@ def _integrate_profiles(
     workers = resolve_workers()
     deviations = [preflight_theta_invariance(bracket, p) if spec.preflight else None for p in profiles]
     scrambles = [_scramble(spec, rep, m + k) for rep in range(spec.n_replicates)]
-    tasks = (
-        (bracket, profile, shift, directions, spec.n_nodes)
-        for profile in profiles
-        for shift, directions in scrambles
-    )
+    n_slices, n_tasks = -(-spec.n_nodes // _TASK_CHUNK), len(profiles) * spec.n_replicates
+    # parts per replicate: the fewest that reach the least makespan of equal slices, in order, on the workers
+    parts = min(range(1, n_slices + 1), key=lambda p: -(-n_tasks * p // workers) * -(-n_slices // p))
+    cuts = [min(n_slices * j // parts * _TASK_CHUNK, spec.n_nodes) for j in range(parts + 1)]
+    tasks = ((bracket, profile, shift, directions, lo, hi, parts == 1)
+             for profile in profiles for shift, directions in scrambles for lo, hi in zip(cuts, cuts[1:]))
     results = []
     with _node_pool(spec.n_nodes, workers) as pool:
         stream = map(_replicate_sum, tasks) if pool is None else pool.map(_replicate_sum, tasks)
         for profile, deviation in zip(profiles, deviations):
             vol_box = (2.0 * profile.x_radius) ** m * profile.u_radius**k
-            totals, usable = zip(*itertools.islice(stream, spec.n_replicates))
-            inside_fracs = [count / spec.n_nodes for count in usable]
+            replicates = [list(zip(*itertools.islice(stream, parts))) for _ in range(spec.n_replicates)]
+            totals = [sums[0] if parts == 1 else float(np.sum(np.concatenate(sums))) for sums, _ in replicates]
+            inside_fracs = [sum(counts) / spec.n_nodes for _, counts in replicates]
             if max(inside_fracs) == 0.0:
                 raise DegenerateNodesError("no quadrature nodes hit the integrand support")
             rep_values = np.asarray([vol_box * total / spec.n_nodes for total in totals])
@@ -551,7 +551,7 @@ def sweep_s(
     effective node density in the support is scale independent.  With
     spec.preflight set, every scaled profile is certified before any is
     integrated, since each is a different metric.  All scales share one
-    stream of replicate tasks and at most one pool.  Bad scales raise ValueError first.
+    stream of tasks and at most one pool.  Bad scales raise ValueError first.
     """
     s_arr = _scale_list(s_list)
     results = _integrate_profiles(bracket, [profile.scaled(s) for s in s_arr], spec)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import multiprocessing
@@ -201,7 +202,8 @@ def _same_result(r1, r2):
 
 
 def test_worker_count_invariance(cross1, reference_profile, monkeypatch, opened_pools):
-    # three slices per replicate, the last one short, in process and on the pool alike
+    # three slices per replicate, the last one short, in process and on the pool alike; three
+    # replicates on two workers are cut into parts of one slice (5 rounds of slices, not 2 rounds of 3)
     spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808)
     sizes = []
     admitted_density = frame._admitted_density
@@ -262,6 +264,29 @@ def test_one_task_per_profile_and_replicate(cross1, reference_profile, monkeypat
     assert [f for res in results for f in res.replicate_inside_fractions] == fractions
 
 
+
+def test_too_few_replicates_are_cut_into_parts(cross1, reference_profile, monkeypatch):
+    # 2 replicates of 6 slices on 5 workers: each replicate is 2 parts of 3 slices, one round of
+    # 4 tasks instead of 2 whole replicates and 3 idle workers; the parts return their densities
+    spec = dataclasses.replace(SMALL, n_nodes=5 * heat._TASK_CHUNK + 1808, n_replicates=2)
+    whole = integrate_a2(cross1, reference_profile, spec)
+    returned = []
+    replicate_sum = heat._replicate_sum
+
+    def spy(task):
+        returned.append((task[4:6], replicate_sum(task)))
+        return returned[-1][1]
+
+    monkeypatch.setattr(heat, "_replicate_sum", spy)
+    monkeypatch.setattr(heat, "resolve_workers", lambda: 5)
+    monkeypatch.setattr(heat, "_node_pool", lambda n_nodes, workers: contextlib.nullcontext())
+    split = integrate_a2(cross1, reference_profile, spec)
+    cut = 3 * heat._TASK_CHUNK
+    assert [span for span, _ in returned] == [(0, cut), (cut, spec.n_nodes)] * 2
+    assert [dens.shape for _, (dens, _) in returned] == [(cut,), (spec.n_nodes - cut,)] * 2
+    _same_result(whole, split)
+
+
 SCALES = [1.0, 2.0, 4.0, 8.0, 16.0]
 
 
@@ -282,7 +307,7 @@ def test_sweep_runs_one_stream_on_one_pool(cross1, reference_profile, monkeypatc
 
 
 def test_sweep_error_cancels_the_stream(cross1, reference_profile, monkeypatch, opened_pools, tmp_path):
-    # 24 slice tasks per scale; the engine fails on every slice of the third scale
+    # 8 replicate tasks of 3 slices each per scale; the engine fails on every slice of the third scale
     spec = dataclasses.replace(SMALL, n_nodes=2 * heat._TASK_CHUNK + 1808, n_replicates=8)
     log = tmp_path / "calls"
     admitted_density = frame._admitted_density
